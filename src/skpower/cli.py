@@ -246,9 +246,10 @@ def _cmd_bench(args) -> int:
 def _cmd_verify(args) -> int:
     a = _load_matrix(args.data)
     m, n = a.shape
-    if m > 2000:
+    cap = diagnostics._CERTIFIER_MAX_ROWS
+    if m > cap:
         raise ValueError(
-            f"matrix has {m} rows; the certifier is desk-scale only (m <= 2000) -- "
+            f"matrix has {m} rows; the certifier is desk-scale only (m <= {cap}) -- "
             "truncate or subsample the input"
         )
     profile = diagnostics.SpectralProfile.from_matrix(a)

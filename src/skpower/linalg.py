@@ -3,8 +3,14 @@
 Everything operates on 2-D float64 numpy arrays.  ``as_matrix`` is the single
 entry point that enforces the operand contract (two-dimensional, non-empty,
 all entries finite); public operations validate their inputs through it.
-Decompositions are delegated to LAPACK via scipy, with rank handling per the
-conventions documented on each function.
+
+Decompositions go through ``numpy.linalg``, so they run on the same BLAS
+runtime as every ``@`` product.  No module of the package uses scipy's dense
+linear algebra: scipy links its own OpenBLAS, whose idle threads keep
+spinning after each call and take the cores away from numpy's pool, which
+stalls a loop that alternates the two (a power pair and its stabilization
+QR).  scipy is used only for sparse matrices and special functions.  Rank
+handling follows the conventions documented on each function.
 """
 
 from __future__ import annotations
@@ -12,7 +18,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 
 
 class SvdResult(NamedTuple):
@@ -50,41 +55,76 @@ def matmul(a, b) -> np.ndarray:
 
 def _default_rel_tol(shape) -> float:
     # max(rows, cols) * machine epsilon, applied relative to the largest
-    # singular value / pivot; the standard numerical-rank convention.
+    # singular value; the standard numerical-rank convention.
     return max(shape) * np.finfo(np.float64).eps
 
 
 def orthonormalize(y, tol: float | None = None) -> np.ndarray:
     """Orthonormal basis for the range of ``y``.
 
-    Uses QR with column pivoting and drops trailing columns whose pivot
-    magnitude falls below ``tol`` times the largest pivot, so the returned
-    basis has exactly the numerical rank of ``y`` at that tolerance (possibly
-    fewer columns than ``y``).
+    The basis has exactly the numerical rank of ``y``: the number of
+    singular values at or above ``tol`` times the largest, possibly fewer
+    columns than ``y``.  The general path is a Householder QR ``y = Q R``
+    followed by an SVD of the small ``R``; the rank is counted from R's
+    singular values and the basis is ``Q`` times R's leading left singular
+    vectors.
+
+    When ``y`` is well conditioned, CholeskyQR2 (Yamamoto, Nakatsukasa,
+    Yanagisawa & Fukaya, ETNA 2015) is used instead: ``R = chol(y.T y)``,
+    ``Q = y R^-1``, done twice.  It is taken only when both Cholesky
+    factorizations succeed and each ``cond(R) <= min(eps^(-1/2), 1/tol)``;
+    in that range the general path keeps every column, and two passes give
+    orthogonality to working precision.  Both paths return a basis of the
+    same span.
 
     Parameters
     ----------
     y : array_like, shape (m, c)
         Non-empty matrix.  Raises ``ValueError`` if all entries are zero.
     tol : float, optional
-        Relative pivot threshold.  Defaults to ``max(m, c) * eps``.
+        Relative singular-value threshold.  Defaults to ``max(m, c) * eps``.
     """
     y = as_matrix(y, "y")
     if tol is None:
         tol = _default_rel_tol(y.shape)
-    q, r, _ = sla.qr(y, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    dmax = diag.max() if diag.size else 0.0
-    if dmax == 0.0:
+    q = _cholesky_qr2(y, min(_CHOLQR_MAX_COND, 1.0 / tol))
+    return _qr_svd_basis(y, tol) if q is None else q
+
+
+# CholeskyQR squares the condition number in the Gram matrix; beyond
+# eps^(-1/2) the Gram's rounding swamps its smallest eigenvalue.
+_CHOLQR_MAX_COND = np.finfo(np.float64).eps ** -0.5
+
+
+def _cholesky_qr2(y: np.ndarray, max_cond: float) -> np.ndarray | None:
+    """CholeskyQR2 basis of ``y``, or None when a pass is not safe to take."""
+    q = y
+    for _ in range(2):
+        try:
+            lower = np.linalg.cholesky(q.T @ q)
+        except np.linalg.LinAlgError:
+            return None
+        sv = np.linalg.svd(lower, compute_uv=False)
+        if not (np.isfinite(sv[0]) and sv[0] <= max_cond * sv[-1]):
+            return None
+        q = q @ np.linalg.inv(lower).T
+    return q
+
+
+def _qr_svd_basis(y: np.ndarray, tol: float) -> np.ndarray:
+    """Rank-revealing basis: Householder QR, then the SVD of the small R."""
+    q, r = np.linalg.qr(y)
+    u, sv, _ = np.linalg.svd(r)
+    if sv[0] == 0.0:
         raise ValueError("cannot orthonormalize an all-zero matrix")
-    rank = int(np.count_nonzero(diag >= tol * dmax))
-    return np.ascontiguousarray(q[:, :rank])
+    rank = int(np.count_nonzero(sv >= tol * sv[0]))
+    return q @ u[:, :rank]
 
 
 def thin_svd(a) -> SvdResult:
     """Thin (economy) SVD of ``a`` with descending singular values."""
     a = as_matrix(a, "a")
-    u, s, vh = sla.svd(a, full_matrices=False)
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
     return SvdResult(U=u, sigma=s, V=vh.T.copy())
 
 
@@ -109,7 +149,7 @@ def pinv(m, rel_tol: float | None = None) -> np.ndarray:
 def spectral_norm(a) -> float:
     """Largest singular value of ``a`` (exact, via LAPACK singular values)."""
     a = as_matrix(a, "a")
-    return float(sla.svdvals(a)[0])
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def frobenius_norm(a) -> float:
@@ -138,7 +178,7 @@ def psd_sqrt(a, sym_tol: float = 1e-10, eig_tol: float = 1e-10) -> np.ndarray:
         return np.zeros_like(a)
     if np.abs(a - a.T).max() > sym_tol * scale:
         raise ValueError("matrix is not symmetric within tolerance")
-    w, v = sla.eigh((a + a.T) / 2.0)
+    w, v = np.linalg.eigh((a + a.T) / 2.0)
     norm = np.abs(w).max()
     if w.min() < -eig_tol * norm:
         raise ValueError(

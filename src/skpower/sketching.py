@@ -222,21 +222,6 @@ def make_sketch(kind: str, n: int, r: int, seed: int, s: int | None = None) -> S
     return SketchOperator(kind, n, r, seed, s=s)
 
 
-def apply_right(a, sketch: SketchOperator) -> np.ndarray:
-    """Functional form of ``sketch.apply_right(a)``."""
-    return sketch.apply_right(a)
-
-
-def apply_left_transpose(sketch: SketchOperator, a) -> np.ndarray:
-    """Functional form of ``sketch.apply_left_transpose(a)``."""
-    return sketch.apply_left_transpose(a)
-
-
-def densify(sketch: SketchOperator) -> np.ndarray:
-    """Functional form of ``sketch.densify()``."""
-    return sketch.densify()
-
-
 def _check_size_params(k: int, eps: float, delta: float, c: float) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

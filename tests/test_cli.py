@@ -180,6 +180,24 @@ class TestVerify:
         )
         assert code == 2 and "truncate" in err
 
+    def test_row_cap_is_the_certifier_constant(self, tmp_path, capsys, monkeypatch):
+        import skpower.diagnostics as diag_mod
+
+        cap = 40
+        monkeypatch.setattr(diag_mod, "_CERTIFIER_MAX_ROWS", cap)
+        for m, accepted in ((cap, True), (cap + 1, False)):
+            path = tmp_path / f"m{m}.skpw"
+            run_cli(capsys, "gen", "polydecay", "--m", str(m), "--n", "20", "--seed", "1", "--out", str(path))
+            code, _, err = run_cli(
+                capsys, "verify", "--data", str(path), "--sketch", "identity", "--r", "20",
+                "--k", "5", "--eps", "0.5", "--trials", "1",
+            )
+            if accepted:
+                assert code == 0
+            else:
+                # rejected by the CLI itself, before the spectral profile is computed
+                assert code == 2 and f"matrix has {m} rows" in err and f"m <= {cap}" in err
+
 
 class TestBench:
     def test_bench_writes_csv(self, tmp_path, capsys):

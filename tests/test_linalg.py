@@ -1,7 +1,14 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import skpower
+from skpower import linalg
+from skpower.data_io import gen_expdecay
+from skpower.power import RangeFinderSpec, range_finder_sketched
 from skpower.linalg import (
     matmul,
     norms,
@@ -80,6 +87,96 @@ class TestOrthonormalize:
             q1 = orthonormalize(y)
             q2 = orthonormalize(q1)
             np.testing.assert_allclose(q1 @ q1.T, q2 @ q2.T, atol=1e-10)
+
+
+def _block(m, singular_values, seed):
+    """m-by-c block with the given singular values and random singular vectors."""
+    rng = np.random.default_rng(seed)
+    c = len(singular_values)
+    u = np.linalg.qr(rng.standard_normal((m, c)))[0]
+    v = np.linalg.qr(rng.standard_normal((c, c)))[0]
+    return (u * np.asarray(singular_values)) @ v.T
+
+
+@pytest.fixture
+def fallback_calls(monkeypatch):
+    """Count the calls that reach the QR + SVD path of ``orthonormalize``."""
+    calls = []
+    qr_svd = linalg._qr_svd_basis
+
+    def spy(y, tol):
+        calls.append(y.shape)
+        return qr_svd(y, tol)
+
+    monkeypatch.setattr(linalg, "_qr_svd_basis", spy)
+    return calls
+
+
+class TestOrthonormalizePaths:
+    def test_well_conditioned_block_takes_cholesky_qr2(self, fallback_calls):
+        y = _block(300, np.logspace(0, -4, 40), seed=12)
+        q = orthonormalize(y)
+        assert fallback_calls == []
+        assert q.shape == (300, 40)
+        assert np.abs(q.T @ q - np.eye(40)).max() <= 1e-13
+        u = sla.svd(y, full_matrices=False)[0]
+        np.testing.assert_allclose(q @ q.T, u @ u.T, atol=1e-11)
+
+    @pytest.mark.parametrize(
+        "singular_values, tol, rank",
+        [
+            (np.logspace(0, -10, 30), None, 30),  # cond 1e10
+            (np.r_[np.logspace(0, -2, 22), np.zeros(8)], None, 22),  # exactly rank 22
+            (np.r_[np.logspace(0, -3, 24), np.full(6, 1e-7)], 1e-6, 24),  # cond 1e7 > 1/tol
+        ],
+        ids=["cond-1e10", "rank-deficient", "tol-1e-6"],
+    )
+    def test_ill_conditioned_block_falls_back_to_qr_svd(
+        self, fallback_calls, singular_values, tol, rank
+    ):
+        y = _block(200, singular_values, seed=13)
+        q = orthonormalize(y, tol=tol)
+        assert len(fallback_calls) == 1
+        reference = linalg._qr_svd_basis(y, tol or linalg._default_rel_tol(y.shape))
+        assert q.shape == reference.shape == (200, rank)
+        assert np.abs(q.T @ q - np.eye(rank)).max() <= 1e-12
+        np.testing.assert_allclose(q @ q.T, reference @ reference.T, atol=1e-12)
+        # the kept span is the leading singular subspace, to within
+        # eps times the condition number of the kept part
+        u = sla.svd(y, full_matrices=False)[0][:, :rank]
+        kept_cond = singular_values[0] / singular_values[rank - 1]
+        atol = 100 * kept_cond * np.finfo(float).eps
+        np.testing.assert_allclose(q @ q.T, u @ u.T, atol=atol)
+
+    def test_stabilized_power_loop_survives_fallback(self, fallback_calls):
+        # Rate 0.5 puts (sigma_1 / sigma_20)^2 of the sketch near 1e8, past
+        # CholeskyQR2's condition limit, so the loop takes the QR + SVD path.
+        a = gen_expdecay(300, 200, rate=0.5, seed=14)
+        spec = RangeFinderSpec(
+            k=10, l=40, r1=100, r2=20, q=40, eps=0.5, sketch_kind="gaussian", seed=15
+        )
+        q = range_finder_sketched(a, spec)
+        assert fallback_calls
+        assert np.all(np.isfinite(q))
+        assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-12
+
+
+def test_package_does_not_import_scipy_linalg():
+    # scipy's dense linear algebra links a second BLAS runtime whose idle
+    # threads stall numpy's; the package keeps to numpy.linalg.
+    offenders = []
+    for path in sorted(pathlib.Path(skpower.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno}" for name in names if name.startswith("scipy.linalg")
+            ]
+    assert offenders == []
 
 
 class TestThinSvd:
