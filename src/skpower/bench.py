@@ -2,20 +2,22 @@
 
 Protocol
 --------
-For every method x sketch-size l x trial, the power iteration is advanced
-one step at a time up to ``q_max`` and a :class:`~skpower.data_io.TrialRecord`
+For every method x sketch-size l x trial, the power-iteration engine of
+:mod:`skpower.power` (the one the library functions run) is advanced one
+step at a time up to ``q_max`` and a :class:`~skpower.data_io.TrialRecord`
 is emitted after each iterate.  Mirroring the usual presentation of such
 comparisons, benchmark runs use a primary sketch of size ``r1 = l`` and a
 Gaussian start block of size ``r2 = k``.
 
-``time_ms`` is the cumulative wall time of the work the iteration itself
-performs: sketch construction and the sketched product (attributed to the
-q = 0 point), the start-block draw, each power-iteration pair, and the
-stabilization QR when enabled.  The per-point factorization assembly
-(orthonormalization / regression / Nystrom contraction) and the error
-evaluation are excluded: they are recomputed from scratch at every reported
-point and are identical across the methods being compared at a fixed target
-rank, so accumulating them would only blur the comparison.
+``time_ms`` is the cumulative algorithm time the engine reports: sketch
+construction and the sketched product (attributed to the q = 0 point), the
+start-block draw, each power-iteration pair, and the stabilization QR when
+enabled.  The secondary regression sketch (built once per series), the
+per-point factorization assembly (orthonormalization / regression / Nystrom
+contraction) and the error evaluation are excluded: the assembly is
+recomputed from scratch at every reported point and is identical across
+the methods being compared at a fixed target rank, so accumulating it
+would only blur the comparison.
 
 Error metrics go through :mod:`skpower.diagnostics`: the spectral residual
 is estimated by seeded power iteration (relative tolerance 1e-6), the
@@ -31,9 +33,9 @@ from __future__ import annotations
 import csv
 import os
 import re
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -44,19 +46,11 @@ from .diagnostics import (
     estimated_approximation_residuals,
     estimated_projection_residuals,
 )
-from .linalg import orthonormalize, pinv
-from .sketching import make_sketch, substream
+from .linalg import orthonormalize, pinv  # not called here; bindings the perfbench tracer wraps
+from .power import _METHODS, RangeFinderSpec, _iterates, _method_spec
+from .sketching import make_sketch, substream  # make_sketch: a binding the perfbench tracer wraps
 
-METHODS = (
-    "classical-randsvd",
-    "sketched-randsvd",
-    "lowrank-factorize",
-    "lowrank-factorize-unsketched",
-    "nystrom",
-)
-
-# methods whose per-iteration cost is a full pass over A
-_CLASSICAL = {"classical-randsvd", "lowrank-factorize-unsketched"}
+METHODS = tuple(_METHODS)
 
 DEFAULT_QMAX_SKETCHED = 15
 DEFAULT_QMAX_CLASSICAL = 5
@@ -149,7 +143,8 @@ class BenchConfig:
     def q_max_for(self, method: str) -> int:
         if self.q_max is not None:
             return self.q_max
-        return DEFAULT_QMAX_CLASSICAL if method in _CLASSICAL else DEFAULT_QMAX_SKETCHED
+        # a classical baseline's step is a full pass over A
+        return DEFAULT_QMAX_SKETCHED if _METHODS[method].sketched else DEFAULT_QMAX_CLASSICAL
 
 
 _CONFIG_KEYS = {
@@ -212,97 +207,38 @@ def config_from_mapping(values: dict) -> BenchConfig:
 
 
 # ---------------------------------------------------------------------------
-# incremental per-method runners
+# series: the power engine stepped one iterate at a time
 # ---------------------------------------------------------------------------
 
 
-class _IterateRunner:
-    """Advances one power iteration at a time, accumulating algorithm time."""
+def _series_spec(method: str, n: int, k: int, l: int, q: int, **params) -> RangeFinderSpec:
+    """The spec one series runs: a primary sketch of size l and a k-column start block."""
+    return _method_spec(method, RangeFinderSpec(k=k, l=l, r1=l, r2=k, q=q, **params), n)
 
-    def __init__(self, a, *, method, k, l, sketch_kind, s, seed, stabilized):
-        self.a = a
-        self.method = method
-        self.k = k
-        self.l = l
-        self.s = s
-        self.seed = seed
-        self.stabilized = stabilized
-        m, n = a.shape
-        self.q_done = 0
-        t0 = time.perf_counter()
-        if method == "nystrom":
-            self.sketch = make_sketch(sketch_kind, n, l, substream(seed, 0), s=s)
-            self.ctil = self.sketch.apply_right(a)
-            wtil = self.sketch.apply_left_transpose(self.ctil)
-            self.wtil = (wtil + wtil.T) / 2.0
-            self.omega = make_sketch("gaussian", l, k, substream(seed, 1)).densify()
-            self.y = self.omega
-            self.r1 = l
-        elif method in _CLASSICAL:
-            self.atil = a
-            self.omega = make_sketch("gaussian", n, k, substream(seed, 1)).densify()
-            self.y = self.atil @ self.omega
-            self.r1 = n
-        else:
-            self.sketch = make_sketch(sketch_kind, n, l, substream(seed, 0), s=s)
-            self.atil = self.sketch.apply_right(a)
-            self.omega = make_sketch("gaussian", l, k, substream(seed, 1)).densify()
-            self.y = self.atil @ self.omega
-            self.r1 = l
-        self.cumulative = time.perf_counter() - t0
-        if method in ("lowrank-factorize", "lowrank-factorize-unsketched"):
-            # regression-stage inputs; untimed (assembly, identical across methods)
-            self.s2 = make_sketch(sketch_kind, m, l, substream(seed, 2), s=s)
-            self.s2a = self.s2.apply_left_transpose(a)
 
-    def advance(self) -> None:
-        t0 = time.perf_counter()
-        if self.method == "nystrom":
-            self.y = self.wtil @ self.y
-        else:
-            y = self.y
-            if self.stabilized:
-                y = orthonormalize(y)
-            self.y = self.atil @ (self.atil.T @ y)
-        self.cumulative += time.perf_counter() - t0
-        self.q_done += 1
-
-    def errors(self, profile: SpectralProfile) -> tuple[float, float, float]:
-        err_seed = substream(self.seed, _ERR_STREAM, self.q_done)
-        if self.method in ("classical-randsvd", "sketched-randsvd"):
-            q_basis = orthonormalize(self.y)
-            spec, frob = estimated_projection_residuals(self.a, q_basis, seed=err_seed)
-        elif self.method == "nystrom":
-            c = self.ctil @ self.y
-            w = self.y.T @ (self.wtil @ self.y)
-            w = (w + w.T) / 2.0
-            spec, frob = estimated_approximation_residuals(
-                self.a, c @ (pinv(w) @ c.T), seed=err_seed
-            )
-        else:
-            s2y = self.s2.apply_left_transpose(self.y)
-            x = pinv(s2y) @ self.s2a
-            spec, frob = estimated_approximation_residuals(self.a, self.y @ x, seed=err_seed)
-        rel = spec / profile.values[self.k] - 1.0
-        return spec, frob, rel
+def _errors(a, entry, state, profile: SpectralProfile, seed: int, k: int):
+    """``(spec_err, frob_err, rel_err)`` of the factors ``entry`` assembles from ``state``."""
+    factors = entry.assemble(state)
+    err_seed = substream(seed, _ERR_STREAM, state.q)
+    if entry.approximation is None:
+        spec, frob = estimated_projection_residuals(a, factors["Q"], seed=err_seed)
+    else:
+        spec, frob = estimated_approximation_residuals(a, entry.approximation(factors), seed=err_seed)
+    return spec, frob, spec / profile.values[k] - 1.0
 
 
 def _run_series(a, profile, cfg: BenchConfig, method: str, l: int, trial: int, seed: int):
-    runner = _IterateRunner(
-        a,
-        method=method,
-        k=cfg.k,
-        l=l,
-        sketch_kind=cfg.sketch_kind,
-        s=cfg.s,
-        seed=seed,
-        stabilized=cfg.stabilized,
+    spec = _series_spec(
+        method, a.shape[1], cfg.k, l, 0, eps=cfg.eps, sketch_kind=cfg.sketch_kind,
+        seed=seed, stabilized=cfg.stabilized, s=cfg.s,
     )
+    entry = _METHODS[method]
+    countsketch = cfg.sketch_kind == "countsketch" and entry.applies_sketch
     rows = []
-    for q in range(cfg.q_max_for(method) + 1):
-        if q > 0:
-            runner.advance()
-        spec, frob, rel = runner.errors(profile)
+    cumulative = 0.0
+    for state, seconds in islice(_iterates(a, spec, entry), cfg.q_max_for(method) + 1):
+        cumulative += seconds
+        spec_err, frob, rel = _errors(a, entry, state, profile, seed, cfg.k)
         rows.append(
             TrialRecord(
                 method=method,
@@ -311,15 +247,15 @@ def _run_series(a, profile, cfg: BenchConfig, method: str, l: int, trial: int, s
                 n=a.shape[1],
                 k=cfg.k,
                 l=l,
-                r1=runner.r1,
-                r2=cfg.k,
-                s=cfg.s if method != "classical-randsvd" and cfg.sketch_kind == "countsketch" else 0,
-                q_iter=q,
+                r1=spec.r1,
+                r2=spec.r2,
+                s=cfg.s if countsketch else 0,
+                q_iter=state.q,
                 eps=cfg.eps,
                 seed=seed,
                 trial=trial,
-                time_ms=runner.cumulative * 1e3,
-                spec_err=spec,
+                time_ms=cumulative * 1e3,
+                spec_err=spec_err,
                 frob_err=frob,
                 rel_err=rel,
             )
@@ -334,19 +270,13 @@ def replay_record(a, rec: TrialRecord, sketch_kind: str = "countsketch", stabili
     values (timings are not reproducible and are ignored).
     """
     profile = SpectralProfile.from_matrix(a)
-    runner = _IterateRunner(
-        a,
-        method=rec.method,
-        k=rec.k,
-        l=rec.l,
-        sketch_kind=sketch_kind,
-        s=rec.s if rec.s else 1,
-        seed=rec.seed,
-        stabilized=stabilized,
+    spec = _series_spec(
+        rec.method, a.shape[1], rec.k, rec.l, rec.q_iter, eps=rec.eps, sketch_kind=sketch_kind,
+        seed=rec.seed, stabilized=stabilized, s=rec.s if rec.s else 1,
     )
-    for _ in range(rec.q_iter):
-        runner.advance()
-    return runner.errors(profile)
+    entry = _METHODS[rec.method]
+    state, _ = next(_iterates(a, spec, entry))
+    return _errors(a, entry, state, profile, rec.seed, rec.k)
 
 
 def run_benchmark(cfg: BenchConfig, csv_path: str | None = None, progress=None) -> list[TrialRecord]:
@@ -360,10 +290,8 @@ def run_benchmark(cfg: BenchConfig, csv_path: str | None = None, progress=None) 
     cfg.validate()
     path = csv_path or cfg.output_path
     a = cfg.dataset.load()
-    if "nystrom" in cfg.methods:
-        from .power import _check_psd
-
-        _check_psd(a)
+    for check in {_METHODS[method].check for method in cfg.methods} - {None}:
+        check(a)
     profile = SpectralProfile.from_matrix(a)
     if profile.values[cfg.k] <= 0.0:
         raise ValueError(f"sigma_(k+1) vanishes for k={cfg.k}; relative error undefined")

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import data_io, diagnostics, power, sketching
-from .linalg import pinv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -31,12 +30,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _load_matrix(path: str) -> np.ndarray:
-    if path.endswith(".skpw"):
-        return data_io.read_binary(path)
-    return data_io.read_matrix_market(path)
 
 
 def _print_kv(**kwargs) -> None:
@@ -82,33 +75,38 @@ def _cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _derive_parameters(args, m: int, n: int):
-    """Resolve (r1, r2, q, s) from (k, l, eps) unless given explicitly."""
-    s = args.s
-    if args.method == "classical-randsvd" and args.r1 is None:
-        args.r1 = n  # classical iteration has no primary sketch
-    if args.r1 is not None and args.r2 is not None and args.q is not None:
-        return args.r1, args.r2, args.q, (s if s is not None else 1)
+def _derive_parameters(args, m: int, n: int, applies_sketch: bool):
+    """Resolve (r1, r2, q, s) from (k, l, eps) unless given explicitly.
+
+    A method that applies no sketch has nothing to size: r1 defaults to n.
+    """
+    r1, s = args.r1, args.s
+    if not applies_sketch:
+        r1 = n if r1 is None else r1
+        s = 1 if s is None else s
+    if r1 is not None and args.r2 is not None and args.q is not None:
+        return r1, args.r2, args.q, (s if s is not None else 1)
     if args.l is None:
         raise ValueError("either --l (with --eps) or all of --r1/--r2/--q are required")
     if args.sketch == "countsketch":
-        r1, s_auto = sketching.countsketch_size(args.l, args.eps, args.delta, args.c)
+        r1_sized, s_auto = sketching.countsketch_size(args.l, args.eps, args.delta, args.c)
         if s is None:
             s = s_auto
     else:
-        r1 = sketching.sketch_size(args.sketch, args.l, args.eps, args.delta, args.c, n=n)
+        r1_sized = sketching.sketch_size(args.sketch, args.l, args.eps, args.delta, args.c, n=n)
         s = s if s is not None else 1
-    r1 = args.r1 if args.r1 is not None else min(r1, n)
+    r1 = r1 if r1 is not None else min(r1_sized, n)
     r2 = args.r2 if args.r2 is not None else 2 * args.k
     q = args.q if args.q is not None else power.choose_q(args.eps, min(m, r1))
     return r1, r2, q, s
 
 
 def _cmd_run(args) -> int:
-    a = _load_matrix(args.data)
+    a = bench_mod.dataset_spec(args.data).load()
     m, n = a.shape
-    r1, r2, q, s = _derive_parameters(args, m, n)
-    spec = power.RangeFinderSpec(
+    entry = power._METHODS[args.method]
+    r1, r2, q, s = _derive_parameters(args, m, n, entry.applies_sketch)
+    base = power.RangeFinderSpec(
         k=args.k,
         l=args.l if args.l is not None else min(m, n),
         r1=r1,
@@ -120,52 +118,20 @@ def _cmd_run(args) -> int:
         stabilized=not args.no_stabilize,
         s=s,
     )
+    spec = power._method_spec(args.method, base, n)
     profile = diagnostics.SpectralProfile.from_matrix(a)
-    stage: dict[str, float] = {}
-    saved: dict[str, np.ndarray] = {}
     t0 = time.perf_counter()
-    if args.method in ("classical-randsvd", "sketched-randsvd"):
-        if args.method == "classical-randsvd":
-            q_basis = power.range_finder_classical(
-                a, args.k, r2, q, args.seed, stabilized=spec.stabilized
-            )
-        else:
-            q_basis = power.range_finder_sketched(a, spec)
-        stage["rangefinder"] = time.perf_counter() - t0
+    saved, stage = power._advance(a, spec, args.method)
+    if entry.approximation is None:
+        q_basis = saved["Q"]
+        stage = {"rangefinder": time.perf_counter() - t0}
         t1 = time.perf_counter()
         u, sigma, v = power.randsvd(a, q_basis)
         stage["svd_assembly"] = time.perf_counter() - t1
         spec_err, frob_err = diagnostics.projection_residuals(a, q_basis)
         saved = {"U": u, "sigma": sigma.reshape(1, -1), "V": v}
-    elif args.method in ("lowrank-factorize", "lowrank-factorize-unsketched"):
-        if args.method == "lowrank-factorize-unsketched":
-            spec = power.RangeFinderSpec(
-                k=args.k,
-                l=spec.l,
-                r1=n,
-                r2=r2,
-                q=q,
-                eps=args.eps,
-                sketch_kind="identity",
-                seed=args.seed,
-                stabilized=spec.stabilized,
-                s=s,
-                s2_kind=args.sketch,
-                s2_r=r1,
-            )
-        result = power.lowrank_factorize(a, spec)
-        stage.update(result.elapsed)
-        spec_err, frob_err = diagnostics.approximation_residuals(a, result.Y @ result.X)
-        saved = {"Y": result.Y, "X": result.X}
-    elif args.method == "nystrom":
-        result = power.nystrom_psd(a, spec)
-        stage.update(result.elapsed)
-        spec_err, frob_err = diagnostics.approximation_residuals(
-            a, result.C @ (pinv(result.W) @ result.C.T)
-        )
-        saved = {"C": result.C, "W": result.W}
     else:
-        raise ValueError(f"unknown method {args.method!r}")
+        spec_err, frob_err = diagnostics.approximation_residuals(a, entry.approximation(saved))
     if profile.values[args.k] > 0.0:
         rel_err = diagnostics.relative_error(spec_err, profile, args.k)
     else:
@@ -180,8 +146,8 @@ def _cmd_run(args) -> int:
         r1=spec.r1,
         r2=spec.r2,
         q=spec.q,
-        s=s,
-        sketch=args.sketch,
+        s=spec.s,
+        sketch=spec.sketch_kind,
         seed=args.seed,
         spec_err=float(spec_err),
         frob_err=float(frob_err),
@@ -244,7 +210,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    a = _load_matrix(args.data)
+    a = bench_mod.dataset_spec(args.data).load()
     m, n = a.shape
     cap = diagnostics._CERTIFIER_MAX_ROWS
     if m > cap:
@@ -305,8 +271,8 @@ def build_parser() -> _Parser:
     gen.set_defaults(func=_cmd_gen)
 
     run = sub.add_parser("run", help="run one algorithm once and print errors")
-    run.add_argument("--data", required=True, help=".skpw or MatrixMarket file")
-    run.add_argument("--method", required=True, choices=list(bench_mod.METHODS))
+    run.add_argument("--data", required=True, help="dataset path or synthetic recipe")
+    run.add_argument("--method", required=True, choices=list(power._METHODS))
     run.add_argument("--k", type=int, required=True)
     run.add_argument("--l", type=int)
     run.add_argument("--eps", type=float, default=0.5)
@@ -341,7 +307,7 @@ def build_parser() -> _Parser:
     bench.set_defaults(func=_cmd_bench)
 
     verify = sub.add_parser("verify", help="certify regularized spectral approximation")
-    verify.add_argument("--data", required=True)
+    verify.add_argument("--data", required=True, help="dataset path or synthetic recipe")
     verify.add_argument("--sketch", default="gaussian", choices=list(sketching.SKETCH_KINDS))
     verify.add_argument("--k", type=int, required=True)
     verify.add_argument("--eps", type=float, default=0.5)

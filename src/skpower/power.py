@@ -14,6 +14,17 @@ Three constructions, all driven by one parameter record
   from a large intermediate Nystrom pair, with the power iteration running
   on the small core matrix.
 
+One engine runs all of them: :func:`_iterates` builds the sketches and the
+start block and yields the powered block after q = 0, 1, ... steps, with
+the algorithm time of each step.  A method of ``_METHODS`` (the five names
+the library, ``skpower run`` and ``skpower bench`` share) says what the
+engine powers and how its factors are assembled.  The public functions
+advance the engine to ``spec.q`` and assemble; the benchmark steps it one
+iterate at a time, so its ``time_ms`` (sketch build and apply, start block
+and first product at q = 0, then one stabilization and pair per step; the
+secondary sketch, the assembly and the error evaluation excluded) comes
+from the same code that the library runs.
+
 Seeds: the primary sketch uses substream 0 of ``spec.seed``, the Gaussian
 start block substream 1, and the secondary regression sketch substream 2,
 so runs are reproducible and the streams are mutually independent.
@@ -23,12 +34,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .linalg import as_matrix, orthonormalize, pinv, thin_svd, SvdResult
-from .sketching import make_sketch, substream
+from .sketching import SketchOperator, make_sketch, substream
 
 
 def choose_q(eps: float, m_hat: int) -> int:
@@ -58,8 +70,8 @@ class RangeFinderSpec:
 
     ``s2_kind``/``s2_r`` configure the secondary regression sketch used by
     :func:`lowrank_factorize` (default: same family and size as the primary
-    sketch).  ``omega_kind`` is an ablation escape hatch: the start block is
-    Gaussian by default and the theory only covers that choice.
+    sketch).  The start block is always Gaussian, the case the theory
+    covers.
     """
 
     k: int
@@ -74,7 +86,6 @@ class RangeFinderSpec:
     s: int = 1
     s2_kind: str | None = None
     s2_r: int | None = None
-    omega_kind: str = "gaussian"
 
     def validate(self, m: int, n: int) -> None:
         if not 1 <= self.k <= self.l <= min(m, n):
@@ -110,6 +121,13 @@ class NystromResult:
     elapsed: dict[str, float] = field(default_factory=dict)
 
 
+def _pair(atil: np.ndarray, y: np.ndarray, stabilized: bool) -> np.ndarray:
+    """One step of the ``atil`` iteration: ``atil @ (atil.T @ y)``, stabilized first."""
+    if stabilized:
+        y = orthonormalize(y)
+    return atil @ (atil.T @ y)
+
+
 def power_iterate(atil, omega, q: int, stabilized: bool = True) -> np.ndarray:
     """Compute a block with the column span of ``(atil @ atil.T)^q @ atil @ omega``.
 
@@ -128,14 +146,176 @@ def power_iterate(atil, omega, q: int, stabilized: bool = True) -> np.ndarray:
         raise ValueError(f"q must be >= 0, got {q}")
     y = atil @ omega
     for _ in range(q):
-        if stabilized:
-            y = orthonormalize(y)
-        y = atil @ (atil.T @ y)
+        y = _pair(atil, y, stabilized)
     return y
 
 
-def _draw_omega(kind: str, rows: int, cols: int, seed: int) -> np.ndarray:
-    return make_sketch(kind, rows, cols, seed).densify()
+def _draw_omega(rows: int, cols: int, seed: int) -> np.ndarray:
+    return make_sketch("gaussian", rows, cols, seed).densify()
+
+
+@dataclass
+class _Iterate:
+    """The engine's state after ``q`` steps: everything an assembly reads."""
+
+    q: int
+    y: np.ndarray  # the powered block
+    atil: np.ndarray  # A S (a copy of A under the identity sketch)
+    wtil: np.ndarray | None  # the Nystrom core S.T A S
+    elapsed: dict[str, float]  # seconds per stage so far
+    s2: SketchOperator | None = None  # secondary sketch of the regression
+    s2a: np.ndarray | None = None  # S2.T A
+
+
+def _iterates(a: np.ndarray, spec: RangeFinderSpec, entry: _Method):
+    """Yield ``(state, seconds)`` after ``spec.q``, ``spec.q + 1``, ... steps.
+
+    ``seconds`` is the algorithm time since the previous yield.  The first
+    covers the primary sketch build and apply, the start-block draw and the
+    first ``spec.q`` steps (the first product for the ``A S`` iteration); each
+    later one covers one step.  The secondary sketch ``S2.T A`` is built once,
+    before anything else, and is not counted.  The state is updated in
+    place.  ``a`` and ``spec`` are taken as validated.
+    """
+    m, n = a.shape
+    t0 = time.perf_counter()
+    s2 = s2a = None
+    if entry.regression:  # first, while the least else is alive: a lower peak memory
+        s2 = make_sketch(
+            spec.s2_kind or spec.sketch_kind, m, spec.s2_r or spec.r1, substream(spec.seed, 2), s=spec.s
+        )
+        s2a = s2.apply_left_transpose(a)
+    t_s2 = time.perf_counter()
+    sketch = make_sketch(spec.sketch_kind, n, spec.r1, substream(spec.seed, 0), s=spec.s)
+    atil = sketch.apply_right(a)
+    wtil = None
+    if entry.core:
+        wtil = sketch.apply_left_transpose(atil)
+        wtil = (wtil + wtil.T) / 2.0  # kill rounding asymmetry before powering
+    t_sketch = time.perf_counter()
+    omega = _draw_omega(spec.r1, spec.r2, substream(spec.seed, 1))
+    if entry.core:
+        y = omega
+        for _ in range(spec.q):
+            y = wtil @ y
+    else:
+        y = power_iterate(atil, omega, spec.q, stabilized=spec.stabilized)
+    t_power = time.perf_counter()
+    elapsed = {"sketch": t_sketch - t_s2, "power": t_power - t_sketch}
+    if entry.regression:
+        elapsed["regression"] = t_s2 - t0
+    state = _Iterate(spec.q, y, atil, wtil, elapsed, s2, s2a)
+    seconds = t_power - t_s2
+    while True:
+        yield state, seconds
+        t0 = time.perf_counter()
+        state.y = wtil @ state.y if entry.core else _pair(atil, state.y, spec.stabilized)
+        seconds = time.perf_counter() - t0
+        state.q += 1
+        state.elapsed["power"] += seconds
+
+
+def _basis(state: _Iterate) -> dict[str, np.ndarray]:
+    return {"Q": orthonormalize(state.y)}
+
+
+def _regression(state: _Iterate) -> dict[str, np.ndarray]:
+    s2y = state.s2.apply_left_transpose(state.y)
+    if not np.any(s2y):
+        raise ValueError("S2.T Y is numerically rank-zero; regression is undefined")
+    return {"Y": state.y, "X": pinv(s2y) @ state.s2a}
+
+
+def _contraction(state: _Iterate) -> dict[str, np.ndarray]:
+    w = state.y.T @ (state.wtil @ state.y)
+    return {"C": state.atil @ state.y, "W": (w + w.T) / 2.0}
+
+
+class _Method(NamedTuple):
+    """How the engine runs one method and how its factors are assembled."""
+
+    assemble: Callable[[_Iterate], dict[str, np.ndarray]]
+    stage: str  # the elapsed key of the assembly
+    # factors -> dense approximation of A; None: the factors hold a basis Q to project onto
+    approximation: Callable[[dict], np.ndarray] | None = None
+    sketched: bool = True  # False: the identity primary sketch, r1 = n (a classical baseline)
+    core: bool = False  # power the Nystrom core S.T A S rather than A S
+    regression: bool = False  # build the secondary sketch S2.T A
+    check: Callable[[np.ndarray], None] | None = None  # input check, once per matrix
+
+    @property
+    def applies_sketch(self) -> bool:
+        return self.sketched or self.regression
+
+
+def _check_psd(a, tol: float = 1e-8) -> None:
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"psd input must be square, got {a.shape}")
+    scale = np.abs(a).max()
+    if scale == 0.0:
+        return
+    if np.abs(a - a.T).max() > tol * scale:
+        raise ValueError("matrix is not symmetric within tolerance")
+    w = np.linalg.eigvalsh((a + a.T) / 2.0)
+    norm = np.abs(w).max()
+    if norm > 0.0 and w.min() < -tol * norm:
+        raise ValueError(
+            f"matrix is not psd: min eigenvalue {w.min():.3e} < {-tol * norm:.3e}"
+        )
+
+
+def _product(factors: dict) -> np.ndarray:
+    return factors["Y"] @ factors["X"]
+
+
+def _nystrom_approximation(factors: dict) -> np.ndarray:
+    return factors["C"] @ (pinv(factors["W"]) @ factors["C"].T)
+
+
+_METHODS = {
+    "classical-randsvd": _Method(_basis, "basis", sketched=False),
+    "sketched-randsvd": _Method(_basis, "basis"),
+    "lowrank-factorize": _Method(_regression, "regression", _product, regression=True),
+    "lowrank-factorize-unsketched": _Method(
+        _regression, "regression", _product, sketched=False, regression=True
+    ),
+    # looked up at call time, so a wrapper installed on power._check_psd sees the call
+    "nystrom": _Method(
+        _contraction, "contract", _nystrom_approximation, core=True, check=lambda a: _check_psd(a)
+    ),
+}
+
+
+def _method_spec(method: str, spec: RangeFinderSpec, n: int) -> RangeFinderSpec:
+    """The spec ``method`` runs: a classical baseline powers A itself.
+
+    Its primary sketch is the identity (r1 = n); the regression keeps the
+    sketch family and size of ``spec`` for S2.
+    """
+    if _METHODS[method].sketched:
+        return spec
+    return replace(
+        spec,
+        sketch_kind="identity",
+        r1=n,
+        s2_kind=spec.s2_kind or spec.sketch_kind,
+        s2_r=spec.s2_r or spec.r1,
+    )
+
+
+def _advance(a, spec: RangeFinderSpec, method: str) -> tuple[dict[str, np.ndarray], dict[str, float]]:
+    """Run ``method`` to ``spec.q`` and assemble: ``(factors, elapsed seconds per stage)``."""
+    entry = _METHODS[method]
+    a = as_matrix(a, "a")
+    if entry.check is not None:
+        entry.check(a)
+    spec.validate(*a.shape)
+    state, _ = next(_iterates(a, spec, entry))
+    t0 = time.perf_counter()
+    factors = entry.assemble(state)
+    elapsed = state.elapsed
+    elapsed[entry.stage] = elapsed.get(entry.stage, 0.0) + time.perf_counter() - t0
+    return factors, elapsed
 
 
 def range_finder_sketched(a, spec: RangeFinderSpec) -> np.ndarray:
@@ -144,14 +324,7 @@ def range_finder_sketched(a, spec: RangeFinderSpec) -> np.ndarray:
     Returns Q with at most ``spec.r2`` orthonormal columns such that
     Q Q.T a captures the dominant part of ``a``'s spectrum.
     """
-    a = as_matrix(a, "a")
-    m, n = a.shape
-    spec.validate(m, n)
-    sketch = make_sketch(spec.sketch_kind, n, spec.r1, substream(spec.seed, 0), s=spec.s)
-    omega = _draw_omega(spec.omega_kind, spec.r1, spec.r2, substream(spec.seed, 1))
-    atil = sketch.apply_right(a)
-    y = power_iterate(atil, omega, spec.q, stabilized=spec.stabilized)
-    return orthonormalize(y)
+    return _advance(a, spec, "sketched-randsvd")[0]["Q"]
 
 
 def range_finder_classical(
@@ -175,7 +348,7 @@ def range_finder_classical(
         seed=seed,
         stabilized=stabilized,
     )
-    return range_finder_sketched(a, spec)
+    return _advance(a, spec, "classical-randsvd")[0]["Q"]
 
 
 def randsvd(a, q_basis) -> SvdResult:
@@ -206,53 +379,8 @@ def lowrank_factorize(a, spec: RangeFinderSpec) -> FactorizationResult:
     regression ``(S2.T Y)^+ (S2.T a)`` with an independent second sketch on
     the row space, avoiding the dense Q.T a product of randomized SVD.
     """
-    a = as_matrix(a, "a")
-    m, n = a.shape
-    spec.validate(m, n)
-    s2_kind = spec.s2_kind or spec.sketch_kind
-    s2_r = spec.s2_r or spec.r1
-
-    t0 = time.perf_counter()
-    s1 = make_sketch(spec.sketch_kind, n, spec.r1, substream(spec.seed, 0), s=spec.s)
-    atil = s1.apply_right(a)
-    t_sketch = time.perf_counter()
-
-    omega = _draw_omega(spec.omega_kind, spec.r1, spec.r2, substream(spec.seed, 1))
-    y = power_iterate(atil, omega, spec.q, stabilized=spec.stabilized)
-    t_power = time.perf_counter()
-
-    s2 = make_sketch(s2_kind, m, s2_r, substream(spec.seed, 2), s=spec.s)
-    s2y = s2.apply_left_transpose(y)
-    if not np.any(s2y):
-        raise ValueError("S2.T Y is numerically rank-zero; regression is undefined")
-    x = pinv(s2y) @ s2.apply_left_transpose(a)
-    t_reg = time.perf_counter()
-
-    return FactorizationResult(
-        Y=y,
-        X=x,
-        elapsed={
-            "sketch": t_sketch - t0,
-            "power": t_power - t_sketch,
-            "regression": t_reg - t_power,
-        },
-    )
-
-
-def _check_psd(a, tol: float = 1e-8) -> None:
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"psd input must be square, got {a.shape}")
-    scale = np.abs(a).max()
-    if scale == 0.0:
-        return
-    if np.abs(a - a.T).max() > tol * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    w = np.linalg.eigvalsh((a + a.T) / 2.0)
-    norm = np.abs(w).max()
-    if norm > 0.0 and w.min() < -tol * norm:
-        raise ValueError(
-            f"matrix is not psd: min eigenvalue {w.min():.3e} < {-tol * norm:.3e}"
-        )
+    factors, elapsed = _advance(a, spec, "lowrank-factorize")
+    return FactorizationResult(**factors, elapsed=elapsed)
 
 
 def nystrom_psd(a, spec: RangeFinderSpec) -> NystromResult:
@@ -262,37 +390,5 @@ def nystrom_psd(a, spec: RangeFinderSpec) -> NystromResult:
     start block through the small core (Y = W~^q Omega), and contracts to
     C = C~ Y, W = Y.T W~ Y.  The implied approximation is symmetric psd.
     """
-    a = as_matrix(a, "a")
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"psd Nystrom needs a square matrix, got {a.shape}")
-    _check_psd(a)
-    spec.validate(n, n)
-
-    t0 = time.perf_counter()
-    sketch = make_sketch(spec.sketch_kind, n, spec.r1, substream(spec.seed, 0), s=spec.s)
-    ctil = sketch.apply_right(a)
-    wtil = sketch.apply_left_transpose(ctil)
-    wtil = (wtil + wtil.T) / 2.0  # kill rounding asymmetry before powering
-    t_sketch = time.perf_counter()
-
-    omega = _draw_omega(spec.omega_kind, spec.r1, spec.r2, substream(spec.seed, 1))
-    y = omega
-    for _ in range(spec.q):
-        y = wtil @ y
-    t_power = time.perf_counter()
-
-    c = ctil @ y
-    w = y.T @ (wtil @ y)
-    w = (w + w.T) / 2.0
-    t_contract = time.perf_counter()
-
-    return NystromResult(
-        C=c,
-        W=w,
-        elapsed={
-            "sketch": t_sketch - t0,
-            "power": t_power - t_sketch,
-            "contract": t_contract - t_power,
-        },
-    )
+    factors, elapsed = _advance(a, spec, "nystrom")
+    return NystromResult(**factors, elapsed=elapsed)

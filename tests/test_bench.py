@@ -1,8 +1,13 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
-from conftest import random_psd
+import skpower.bench as bench_mod
+from conftest import psd_polydecay, random_psd
 from skpower.bench import (
+    METHODS,
     BenchConfig,
     config_from_mapping,
     dataset_spec,
@@ -11,6 +16,14 @@ from skpower.bench import (
     run_benchmark,
 )
 from skpower.data_io import read_records_csv, write_binary
+from skpower.linalg import pinv
+from skpower.power import (
+    RangeFinderSpec,
+    lowrank_factorize,
+    nystrom_psd,
+    range_finder_classical,
+    range_finder_sketched,
+)
 
 
 def small_config(tmp_path, **overrides):
@@ -182,3 +195,79 @@ class TestRun:
             bench_mod._run_series = original
         leftover = read_records_csv(str(tmp_path / "out.csv"))
         assert len(leftover) == 1
+
+
+def _library_factors(a, method, k, l, q, seed):
+    """The library's Q, or dense approximation, for a series of ``small_config``'s sketch."""
+    n = a.shape[1]
+    spec = RangeFinderSpec(k=k, l=l, r1=l, r2=k, q=q, eps=0.5, sketch_kind="countsketch", seed=seed, s=1)
+    if method == "classical-randsvd":
+        return range_finder_classical(a, k, k, q, seed)
+    if method == "sketched-randsvd":
+        return range_finder_sketched(a, spec)
+    if method == "lowrank-factorize-unsketched":
+        spec = RangeFinderSpec(
+            k=k, l=l, r1=n, r2=k, q=q, eps=0.5, sketch_kind="identity", seed=seed, s=1,
+            s2_kind="countsketch", s2_r=l,
+        )
+    if method == "nystrom":
+        res = nystrom_psd(a, spec)
+        return res.C @ (pinv(res.W) @ res.C.T)
+    res = lowrank_factorize(a, spec)
+    return res.Y @ res.X
+
+
+@pytest.mark.parametrize("q", [0, 1, 3])
+@pytest.mark.parametrize("method", METHODS)
+def test_bench_row_factors_equal_library_factors(tmp_path, monkeypatch, method, q):
+    # one engine: the factors a bench row is evaluated on are bit for bit
+    # those of the library function at the same spec and seed
+    path = tmp_path / "psd.skpw"
+    write_binary(psd_polydecay(60, seed=4), path)
+    cfg = small_config(
+        tmp_path, dataset=dataset_spec(str(path)), methods=[method], k=5, l_values=[15],
+        q_max=q, trials=1,
+    )
+    seen = []
+
+    def capture(a, factors, seed):
+        seen.append(factors)
+        return 1.0, 1.0
+
+    monkeypatch.setattr(bench_mod, "estimated_projection_residuals", capture)
+    monkeypatch.setattr(bench_mod, "estimated_approximation_residuals", capture)
+    records = run_benchmark(cfg)
+    assert [r.q_iter for r in records] == list(range(q + 1))
+    expected = _library_factors(cfg.dataset.load(), method, 5, 15, q, records[-1].seed)
+    assert np.array_equal(seen[-1], expected)
+
+
+def test_replay_record_regenerates_classical_and_nystrom_rows(tmp_path):
+    path = tmp_path / "psd.skpw"
+    write_binary(psd_polydecay(60, seed=9), path)
+    cfg = small_config(
+        tmp_path, dataset=dataset_spec(str(path)), methods=["classical-randsvd", "nystrom"],
+        k=5, l_values=[15], q_max=3,
+    )
+    records = run_benchmark(cfg)
+    a = cfg.dataset.load()
+    assert {r.method for r in records} == {"classical-randsvd", "nystrom"}
+    for rec in records:
+        assert replay_record(a, rec, sketch_kind=cfg.sketch_kind) == (
+            rec.spec_err, rec.frob_err, rec.rel_err
+        )
+
+
+def test_bench_builds_no_sketch_start_block_or_basis():
+    # sketches, start blocks and stabilization live in power.py only; bench
+    # steps the engine and evaluates errors
+    banned = {"make_sketch", "orthonormalize", "apply_right", "apply_left_transpose", "densify"}
+    path = pathlib.Path(bench_mod.__file__)
+    calls = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in banned:
+                calls.append(f"{name}:{node.lineno}")
+    assert calls == []

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from skpower.bench import dataset_spec
 from skpower.cli import main
 from skpower.data_io import read_binary, read_records_csv, write_binary
+from skpower.diagnostics import projection_residuals
+from skpower.power import range_finder_classical
 
 
 def run_cli(capsys, *argv):
@@ -112,6 +115,25 @@ class TestRun:
         )
         assert code == 0
         assert float(parse_kv(out)["frob_err"]) >= 0.0
+
+    def test_classical_randsvd_reports_the_identity_sketch(self, tmp_path, capsys):
+        recipe = "polydecay:50x30:seed=4"
+        prefix = str(tmp_path / "cl")
+        code, out, _ = run_cli(
+            capsys, "run", "--data", recipe, "--method", "classical-randsvd",
+            "--k", "4", "--l", "8", "--eps", "0.5", "--seed", "6", "--save-prefix", prefix,
+        )
+        assert code == 0
+        values = parse_kv(out)
+        # no primary sketch is applied: the method runs on all n columns
+        assert (values["sketch"], values["r1"], values["s"]) == ("identity", "30", "1")
+        a = dataset_spec(recipe).load()
+        q_basis = range_finder_classical(a, 4, 8, int(values["q"]), seed=6)
+        spec_err, frob_err = projection_residuals(a, q_basis)
+        assert values["spec_err"] == f"{spec_err:.12g}"
+        assert values["frob_err"] == f"{frob_err:.12g}"
+        u = read_binary(prefix + ".U.skpw")
+        np.testing.assert_allclose(u @ (u.T @ a), q_basis @ (q_basis.T @ a), atol=1e-10)
 
     def test_nystrom_run(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
