@@ -75,13 +75,14 @@ def _cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _derive_parameters(args, m: int, n: int, applies_sketch: bool):
+def _derive_parameters(args, m: int, n: int, entry):
     """Resolve (r1, r2, q, s) from (k, l, eps) unless given explicitly.
 
-    A method that applies no sketch has nothing to size: r1 defaults to n.
+    ``entry`` is the method's ``power._METHODS`` entry.  A method that
+    applies no sketch has nothing to size: r1 defaults to n.
     """
     r1, s = args.r1, args.s
-    if not applies_sketch:
+    if not entry.applies_sketch:
         r1 = n if r1 is None else r1
         s = 1 if s is None else s
     if r1 is not None and args.r2 is not None and args.q is not None:
@@ -97,7 +98,8 @@ def _derive_parameters(args, m: int, n: int, applies_sketch: bool):
         s = s if s is not None else 1
     r1 = r1 if r1 is not None else min(r1_sized, n)
     r2 = args.r2 if args.r2 is not None else 2 * args.k
-    q = args.q if args.q is not None else power.choose_q(args.eps, min(m, r1))
+    m_hat = min(m, r1 if entry.sketched else n)  # a classical baseline powers all n columns
+    q = args.q if args.q is not None else power.choose_q(args.eps, m_hat)
     return r1, r2, q, s
 
 
@@ -105,7 +107,7 @@ def _cmd_run(args) -> int:
     a = bench_mod.dataset_spec(args.data).load()
     m, n = a.shape
     entry = power._METHODS[args.method]
-    r1, r2, q, s = _derive_parameters(args, m, n, entry.applies_sketch)
+    r1, r2, q, s = _derive_parameters(args, m, n, entry)
     base = power.RangeFinderSpec(
         k=args.k,
         l=args.l if args.l is not None else min(m, n),

@@ -6,7 +6,7 @@ from skpower.bench import dataset_spec
 from skpower.cli import main
 from skpower.data_io import read_binary, read_records_csv, write_binary
 from skpower.diagnostics import projection_residuals
-from skpower.power import range_finder_classical
+from skpower.power import choose_q, range_finder_classical
 
 
 def run_cli(capsys, *argv):
@@ -115,6 +115,21 @@ class TestRun:
         )
         assert code == 0
         assert float(parse_kv(out)["frob_err"]) >= 0.0
+
+    def test_classical_baselines_derive_the_same_q(self, capsys):
+        base = ["run", "--data", "polydecay:300x200:seed=5", "--k", "4", "--l", "8",
+                "--sketch", "gaussian", "--c", "0.5"]
+        printed = {}
+        for method in ("classical-randsvd", "lowrank-factorize-unsketched"):
+            code, out, _ = run_cli(capsys, *base, "--method", method)
+            assert code == 0
+            printed[method] = parse_kv(out)
+        # both power all 200 columns of A: q = choose_q(0.5, min(m, n)), not sized from r1
+        assert printed["classical-randsvd"]["q"] == str(choose_q(0.5, 200))
+        assert printed["lowrank-factorize-unsketched"]["q"] == str(choose_q(0.5, 200))
+        code, out, _ = run_cli(capsys, *base, "--method", "lowrank-factorize-unsketched", "--q", "2")
+        assert code == 0
+        assert parse_kv(out)["q"] == "2"
 
     def test_classical_randsvd_reports_the_identity_sketch(self, tmp_path, capsys):
         recipe = "polydecay:50x30:seed=4"

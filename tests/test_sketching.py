@@ -136,6 +136,84 @@ def test_fwht_matches_explicit_hadamard():
         fwht(np.ones((6, 2)))
 
 
+def _sylvester_by_kron(n):
+    h2 = np.array([[1.0, 1.0], [1.0, -1.0]])
+    h = np.ones((1, 1))
+    while h.shape[0] < n:
+        h = np.kron(h, h2)
+    return h
+
+
+class TestFwht:
+    @pytest.mark.parametrize("log_n", range(13))
+    def test_every_length_matches_sylvester_matrix(self, log_n):
+        n = 1 << log_n
+        h = _sylvester_by_kron(n)
+        rng = np.random.default_rng(100 + log_n)
+        a = rng.standard_normal((n, 3))
+        b = rng.standard_normal((5, n))
+        v = rng.standard_normal(n)
+        tol = 1e-12 * math.sqrt(n)
+        np.testing.assert_allclose(fwht(a, axis=0), h @ a, rtol=0, atol=tol)
+        np.testing.assert_allclose(fwht(b, axis=1), b @ h, rtol=0, atol=tol)
+        np.testing.assert_allclose(fwht(v), h @ v, rtol=0, atol=tol)
+        np.testing.assert_allclose(fwht(v, axis=1), h @ v, rtol=0, atol=tol)
+
+    def test_non_contiguous_inputs(self):
+        n = 64
+        h = _sylvester_by_kron(n)
+        rng = np.random.default_rng(17)
+        base = rng.standard_normal((n, 2 * n))
+        views = {
+            "transposed": base[:, :n].T,
+            "fortran": np.asfortranarray(base[:, :n]),
+            "strided": base[:, ::2],
+        }
+        for name, x in views.items():
+            assert not x.flags.c_contiguous, name
+            np.testing.assert_allclose(fwht(x, axis=0), h @ x, rtol=0, atol=1e-11, err_msg=name)
+            np.testing.assert_allclose(fwht(x, axis=1), x @ h, rtol=0, atol=1e-11, err_msg=name)
+
+    def test_rejects_bad_length_and_axis(self):
+        for n in (0, 3, 6, 1000):
+            with pytest.raises(ValueError, match="power of two"):
+                fwht(np.ones((2, n)), axis=1)
+        with pytest.raises(ValueError, match="axis"):
+            fwht(np.ones((4, 4)), axis=2)
+
+    def test_inputs_left_unmodified(self):
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal((32, 20))
+        before = x.copy()
+        fwht(x, axis=0)
+        fwht(x.T, axis=1)
+        np.testing.assert_array_equal(x, before)
+        for n in (24, 32):  # padded and unpadded
+            op = make_sketch("srht", n, 10, seed=19)
+            a = rng.standard_normal((7, n))
+            b = rng.standard_normal((n, 5))
+            a0, b0 = a.copy(), b.copy()
+            op.apply_right(a)
+            op.apply_left_transpose(b)
+            np.testing.assert_array_equal(a, a0)
+            np.testing.assert_array_equal(b, b0)
+
+
+@pytest.mark.parametrize("n", [1000, 2000])  # padded to 1024 and 2048
+def test_srht_apply_at_workload_padding(n):
+    rng = np.random.default_rng(n)
+    op = make_sketch("srht", n, 400, seed=substream(20, n))
+    dense = op.densify()
+    a = rng.standard_normal((30, n))
+    expected = a @ dense
+    gap = np.abs(op.apply_right(a) - expected).max() / np.abs(expected).max()
+    assert gap <= 1e-12
+    b = rng.standard_normal((n, 30))
+    expected_t = dense.T @ b
+    gap_t = np.abs(op.apply_left_transpose(b) - expected_t).max() / np.abs(expected_t).max()
+    assert gap_t <= 1e-12
+
+
 class TestSketchSize:
     def test_gaussian_example(self):
         assert sketch_size("gaussian", 10, 0.5, 0.1, c=1.0) == 50
