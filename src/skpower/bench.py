@@ -20,9 +20,10 @@ the methods being compared at a fixed target rank, so accumulating it
 would only blur the comparison.
 
 Error metrics go through :mod:`skpower.diagnostics`: the spectral residual
-is estimated by seeded power iteration (relative tolerance 1e-6), the
-Frobenius residual is exact, and ``rel_err`` is residual / sigma_{k+1} - 1
-against the full-SVD profile of the dataset (computed once, untimed).
+is estimated by a seeded block Krylov iteration (a lower bound, stopped at
+relative change 1e-6), the Frobenius residual is exact, and ``rel_err`` is
+residual / sigma_{k+1} - 1 against the full-SVD profile of the dataset
+(computed once, untimed).
 
 Every row is regenerable: :func:`replay_record` reruns the row's
 (method, parameters, seed, q) combination and returns the same errors.

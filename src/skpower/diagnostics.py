@@ -20,6 +20,13 @@ from .power import choose_q
 from .sketching import _rng
 
 _CERTIFIER_MAX_ROWS = 2048  # whitening needs a dense m-by-m eigendecomposition
+# spectral-norm estimator: block columns (a single start vector misses the
+# top singular vector too often), basis rows before the first growth, and
+# the relative size below which a new Krylov direction counts as breakdown
+# (the estimate's error is quadratic in the directions dropped)
+_KRYLOV_BLOCK = 4
+_KRYLOV_ROWS = 32
+_DEFLATION = np.sqrt(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -165,32 +172,83 @@ def projection_residuals(a, q_basis) -> tuple[float, float]:
     return float(np.linalg.norm(resid, 2)), frobenius_norm(resid)
 
 
-def estimate_spectral_norm(
-    a, tol: float = 1e-6, block: int = 8, max_iter: int = 1000, seed: int = 0
-) -> float:
-    """Spectral norm of ``a`` by seeded block power iteration.
+def _extend(basis, y) -> np.ndarray:
+    """Orthonormal rows spanning the part of ``y``'s row space that the
+    orthonormal rows of ``basis`` miss.
 
-    Iterates a small orthonormal block under ``a.T a`` and stops when the
-    leading Ritz value changes by less than ``tol`` relative.  Deterministic
-    for a fixed seed.  Intended for benchmark loops where a full SVD per
-    iterate would dominate the timings.
+    Directions below ``_DEFLATION`` times ``||y||`` are dropped, so the
+    result may have fewer rows than ``y``, or none.  Projecting out
+    ``basis`` once before and once after the SVD keeps the kept rows
+    orthogonal to it to working precision.
+    """
+    size = np.linalg.norm(y)
+    y = y - (y @ basis.T) @ basis
+    _, s, vt = np.linalg.svd(y, full_matrices=False)
+    rows = vt[s > _DEFLATION * size]
+    return rows - (rows @ basis.T) @ basis
+
+
+def estimate_spectral_norm(a, tol: float = 1e-6, max_iter: int = 1000, seed: int = 0) -> float:
+    """Spectral norm of ``a`` by block Golub-Kahan-Lanczos (block Krylov) iteration.
+
+    Golub & Kahan (1965) in the block form of Golub, Luk & Overton (1981),
+    as analysed by Musco & Musco (NeurIPS 2015): from a seeded Gaussian
+    block ``Omega`` of ``_KRYLOV_BLOCK`` columns, step j adds one block to an
+    orthonormal basis ``Q`` of the Krylov space spanned by ``A Omega``,
+    ``(A A.T) A Omega``, ..., ``(A A.T)^(j-1) A Omega``, fully
+    reorthogonalized.  The estimate is the largest singular value of
+    ``Q.T a``, read from the small Gram matrix ``Q.T A A.T Q``; it is a
+    lower bound on ``||a||_2`` (up to rounding) that never decreases with
+    j.  The block makes the estimate independent of any single start
+    vector: from one vector the iteration can settle on sigma_2 for many
+    steps when that vector barely meets the top singular vector.
+
+    Stops at the first of: the estimate changes by at most ``tol`` relative
+    between steps; breakdown, where every new direction falls below
+    ``_DEFLATION`` of its block's norm, so the Krylov space is invariant and
+    the estimate exact (at the latest once the basis spans the column space
+    of ``a``); ``max_iter`` steps.  The zero matrix returns 0.0.
+    Deterministic for a fixed seed.  Each step costs one product of ``a``
+    and one of ``a.T`` with a block.
     """
     a = as_matrix(a, "a")
-    block = min(block, min(a.shape))
-    v = _rng(seed).standard_normal((a.shape[1], block))
-    v, _ = np.linalg.qr(v)
-    estimate = 0.0
+    if tol < 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    m, n = a.shape
+    # blocks are products with a on the left: at this width ``x @ a.T``
+    # takes about twice as long as ``a @ x.T`` with x.T contiguous
+    y = (a @ _rng(seed).standard_normal((n, _KRYLOV_BLOCK))).T
+    # the bases Q and Z = Q a are kept as rows, so each reorthogonalization
+    # reads a contiguous block; they grow by doubling as steps are taken
+    rows = _KRYLOV_ROWS
+    qbasis, zbasis, gram = np.empty((rows, m)), np.empty((rows, n)), np.empty((rows, rows))
+    k, sigma = 0, 0.0
     for _ in range(max_iter):
-        u = a @ v
-        s = float(np.linalg.norm(u, 2))
-        if s == 0.0:
-            return 0.0
-        v = a.T @ u
-        v, _ = np.linalg.qr(v)
-        if abs(s - estimate) <= tol * s:
-            return s
-        estimate = s
-    return float(estimate)
+        q = _extend(qbasis[:k], y)
+        r = len(q)
+        if r == 0:
+            break
+        if k + r > rows:
+            rows = max(2 * rows, k + r)
+            qbasis = np.concatenate((qbasis[:k], np.empty((rows - k, m))))
+            zbasis = np.concatenate((zbasis[:k], np.empty((rows - k, n))))
+            grown = np.empty((rows, rows))
+            grown[:k, :k] = gram[:k, :k]
+            gram = grown
+        z = q @ a
+        qbasis[k : k + r], zbasis[k : k + r] = q, z
+        gram[k : k + r, : k + r] = z @ zbasis[: k + r].T
+        gram[:k, k : k + r] = gram[k : k + r, :k].T
+        k += r
+        estimate = float(np.sqrt(max(np.linalg.eigvalsh(gram[:k, :k])[-1], 0.0)))
+        converged = abs(estimate - sigma) <= tol * estimate
+        sigma = estimate
+        if converged:
+            break
+        y = (a @ np.ascontiguousarray(z.T)).T
+    return sigma
 
 
 def estimated_projection_residuals(
@@ -199,11 +257,13 @@ def estimated_projection_residuals(
     """(spectral, Frobenius) residual norms with the spectral part estimated.
 
     Same contract as :func:`projection_residuals` but the spectral norm
-    comes from :func:`estimate_spectral_norm` (power iteration at relative
-    tolerance ``tol``) instead of a full SVD.
+    comes from :func:`estimate_spectral_norm` (block Krylov iteration at
+    relative tolerance ``tol``, a lower bound) instead of a full SVD.
     """
     a = as_matrix(a, "a")
     q_basis = _check_orthonormal(q_basis)
+    if q_basis.shape[0] != a.shape[0]:
+        raise ValueError("Q and a must have the same number of rows")
     resid = a - q_basis @ (q_basis.T @ a)
     return estimate_spectral_norm(resid, tol=tol, seed=seed), frobenius_norm(resid)
 

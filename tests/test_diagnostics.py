@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import skpower.diagnostics as diag_mod
 from conftest import random_lowrank
-from skpower.data_io import gen_polydecay
+from skpower.data_io import _haar_columns, gen_polydecay
 from skpower.diagnostics import (
     BoundReport,
     SpectralProfile,
@@ -139,6 +140,13 @@ class TestProjectionResiduals:
         rng = np.random.default_rng(10)
         with pytest.raises(ValueError, match="orthonormal"):
             projection_residuals(rng.standard_normal((10, 8)), rng.standard_normal((10, 3)))
+
+    @pytest.mark.parametrize("residuals", [projection_residuals, estimated_projection_residuals])
+    def test_rejects_row_mismatch(self, residuals):
+        rng = np.random.default_rng(18)
+        q = orthonormalize(rng.standard_normal((12, 3)))
+        with pytest.raises(ValueError, match="same number of rows"):
+            residuals(rng.standard_normal((10, 8)), q)
 
 
 class TestApproximationErrorBound:
@@ -288,6 +296,111 @@ class TestEstimatedResiduals:
     def test_estimator_deterministic(self):
         a = gen_polydecay(60, 40, seed=16)
         assert estimate_spectral_norm(a, seed=3) == estimate_spectral_norm(a, seed=3)
+
+
+def rotated(m, n, sigma, seed):
+    """m-by-n matrix with singular values ``sigma`` in Haar-random bases."""
+    sigma = np.asarray(sigma, dtype=float)
+    u = _haar_columns(m, sigma.size, seed)
+    v = _haar_columns(n, sigma.size, seed + 1)
+    return (u * sigma) @ v.T
+
+
+@pytest.fixture
+def extensions(monkeypatch):
+    """Every basis extension of the estimator: (basis, new rows), one per step."""
+    seen = []
+    real = diag_mod._extend
+
+    def spy(basis, y):
+        rows = real(basis, y)
+        seen.append((basis.copy(), rows))
+        return rows
+
+    monkeypatch.setattr(diag_mod, "_extend", spy)
+    return seen
+
+
+class TestSpectralNormEstimator:
+    def test_close_top_gap(self):
+        # sigma_2 / sigma_1 = 0.98, where power iteration converges slowly
+        sigma = np.concatenate(([1.0, 0.98], 0.9 / np.arange(1.0, 119.0)))
+        a = rotated(200, 150, sigma, seed=19)
+        for seed in range(5):
+            est = estimate_spectral_norm(a, seed=seed)
+            assert abs(est - 1.0) <= 1e-6
+
+    def test_start_vector_blind_to_top_direction(self):
+        # the top right singular vector is orthogonal to the first start
+        # vector; a single-vector Krylov method from it settles on sigma_2
+        n, seed = 150, 7
+        start = diag_mod._rng(seed).standard_normal((n, diag_mod._KRYLOV_BLOCK))[:, 0]
+        v = _haar_columns(n, 40, 25)
+        v[:, 0] -= start * (start @ v[:, 0]) / (start @ start)
+        v, _ = np.linalg.qr(v)
+        u = _haar_columns(200, 40, 26)
+        a = (u * np.concatenate(([1.0, 0.98], 0.9 / np.arange(1.0, 39.0)))) @ v.T
+        assert abs(estimate_spectral_norm(a, seed=seed) - 1.0) <= 1e-6
+
+    def test_never_above_exact(self):
+        for seed in range(4):
+            a = gen_polydecay(90, 70, seed=20 + seed)
+            resid = a - np.outer(a[:, 0], a[0]) / a[0, 0]
+            for m in (a, resid, a.T):
+                exact = sla.svdvals(m)[0]
+                for max_iter in (1, 2, 5, 1000):
+                    est = estimate_spectral_norm(m, max_iter=max_iter, seed=seed)
+                    assert est <= exact * (1.0 + 1e-12)
+
+    def test_bases_stay_orthonormal(self, extensions):
+        # an isolated small value converges early, after which a Krylov
+        # basis built without reorthogonalization loses orthogonality
+        sigma = np.concatenate((np.linspace(1.0, 0.9, 60), [1e-3] * 3))
+        a = rotated(200, 150, sigma, seed=19)
+        est = estimate_spectral_norm(a, tol=1e-10, seed=1)
+        assert abs(est - 1.0) <= 1e-9
+        assert len(extensions) > 5
+        for basis, rows in extensions:
+            q = np.vstack((basis, rows))
+            assert np.abs(q @ q.T - np.eye(len(q))).max() <= 1e-13
+
+    def test_zero_matrix(self):
+        assert estimate_spectral_norm(np.zeros((7, 5))) == 0.0
+
+    def test_exact_rank_stops_on_breakdown(self, extensions):
+        # tol = 0 stops only on an exactly repeated value; the Krylov space
+        # of a rank-2 matrix is the column space, found by the first block
+        a = rotated(60, 40, [3.0, 1.0], seed=21)
+        est = estimate_spectral_norm(a, tol=0.0, seed=4)
+        assert [len(rows) for _, rows in extensions] == [2, 0]
+        assert abs(est - 3.0) <= 1e-12 * 3.0
+
+    def test_vector_shapes(self):
+        x = np.random.default_rng(22).standard_normal(30)
+        for a in (x[None, :], x[:, None]):
+            est = estimate_spectral_norm(a, seed=5)
+            assert abs(est - np.linalg.norm(x)) <= 1e-14 * np.linalg.norm(x)
+
+    def test_max_iter_caps_steps(self, extensions):
+        a = gen_polydecay(80, 60, seed=23)
+        estimate_spectral_norm(a, tol=0.0, max_iter=3, seed=6)
+        assert len(extensions) == 3
+        # one step: the top singular value of Q.T a with Q = orth(a Omega)
+        omega = diag_mod._rng(6).standard_normal((60, diag_mod._KRYLOV_BLOCK))
+        q, _ = np.linalg.qr(a @ omega)
+        one = np.linalg.norm(q.T @ a, 2)
+        assert abs(estimate_spectral_norm(a, max_iter=1, seed=6) - one) <= 1e-13 * one
+        with pytest.raises(ValueError, match="max_iter"):
+            estimate_spectral_norm(a, max_iter=0)
+        with pytest.raises(ValueError, match="tol"):
+            estimate_spectral_norm(a, tol=-1e-6)
+
+    def test_rejects_non_finite(self):
+        a = np.ones((4, 3))
+        for bad in (np.nan, np.inf):
+            a[1, 2] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                estimate_spectral_norm(a)
 
 
 def test_powered_tail_inequality_holds_on_certified_pairs():
