@@ -26,12 +26,8 @@ from . import bench, cli, data_io, diagnostics, linalg, power, sketching
 from .linalg import (
     SvdResult,
     frobenius_norm,
-    matmul,
-    norms,
     orthonormalize,
     pinv,
-    psd_sqrt,
-    spectral_norm,
     thin_svd,
 )
 from .sketching import (

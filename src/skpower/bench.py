@@ -11,8 +11,11 @@ Gaussian start block of size ``r2 = k``.
 
 ``time_ms`` is the cumulative algorithm time the engine reports: sketch
 construction and the sketched product (attributed to the q = 0 point), the
-start-block draw, each power-iteration pair, and the stabilization QR when
-enabled.  The secondary regression sketch (built once per series), the
+start-block draw, and each power step with its stabilization QR when
+enabled.  On a compressing sketch a step is the r1 x r1 core product (the
+Gram ``(A S)^T (A S)`` formed at the first) plus the block ``Y = A S z``; on
+the identity sketch of a classical baseline it is the pair ``A (A^T Y)``.
+The secondary regression sketch (built once per series), the
 per-point factorization assembly (orthonormalization / regression / Nystrom
 contraction) and the error evaluation are excluded: the assembly is
 recomputed from scratch at every reported point and is identical across

@@ -1,4 +1,4 @@
-"""Dense matrix kernels: orthonormalization, thin SVD, pseudoinverse, norms.
+"""Dense matrix kernels: orthonormalization, thin SVD, pseudoinverse, Frobenius norm.
 
 Everything operates on 2-D float64 numpy arrays.  ``as_matrix`` is the single
 entry point that enforces the operand contract (two-dimensional, non-empty,
@@ -42,15 +42,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{name} contains non-finite entries")
     return out
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product ``a @ b`` with an explicit dimension check."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
 
 
 def _default_rel_tol(shape) -> float:
@@ -146,44 +137,6 @@ def pinv(m, rel_tol: float | None = None) -> np.ndarray:
     return (v * inv) @ u.T
 
 
-def spectral_norm(a) -> float:
-    """Largest singular value of ``a`` (exact, via LAPACK singular values)."""
-    a = as_matrix(a, "a")
-    return float(np.linalg.svd(a, compute_uv=False)[0])
-
-
 def frobenius_norm(a) -> float:
     """Frobenius norm of ``a``."""
     return float(np.linalg.norm(as_matrix(a, "a")))
-
-
-def norms(a) -> tuple[float, float]:
-    """Return ``(spectral, frobenius)`` norms of ``a``."""
-    a = as_matrix(a, "a")
-    return spectral_norm(a), frobenius_norm(a)
-
-
-def psd_sqrt(a, sym_tol: float = 1e-10, eig_tol: float = 1e-10) -> np.ndarray:
-    """Symmetric psd square root ``B`` with ``B @ B == a``.
-
-    ``a`` must be symmetric within ``sym_tol`` (relative to its largest
-    entry) and have eigenvalues no smaller than ``-eig_tol * ||a||``;
-    eigenvalues in that tolerance band are clamped to zero.
-    """
-    a = as_matrix(a, "a")
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"psd_sqrt needs a square matrix, got {a.shape}")
-    scale = np.abs(a).max()
-    if scale == 0.0:
-        return np.zeros_like(a)
-    if np.abs(a - a.T).max() > sym_tol * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    w, v = np.linalg.eigh((a + a.T) / 2.0)
-    norm = np.abs(w).max()
-    if w.min() < -eig_tol * norm:
-        raise ValueError(
-            f"matrix is not psd: min eigenvalue {w.min():.3e} < {-eig_tol * norm:.3e}"
-        )
-    w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ v.T
-    return (root + root.T) / 2.0

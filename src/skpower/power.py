@@ -16,14 +16,19 @@ Three constructions, all driven by one parameter record
 
 One engine runs all of them: :func:`_iterates` builds the sketches and the
 start block and yields the powered block after q = 0, 1, ... steps, with
-the algorithm time of each step.  A method of ``_METHODS`` (the five names
+the algorithm time of each step.  A compressing sketch (r1 < n) is powered
+on a small r1 x r1 core, ``(A S)^T (A S)`` or, for Nystrom, ``S^T A S``: after
+one Gram, a step costs r1^2 r2 multiply-adds instead of the 2 m r1 r2 of
+the pair ``A S ((A S)^T Y)``, which only the identity-sketch baselines
+still run (:func:`power_iterate`).  A method of ``_METHODS`` (the five names
 the library, ``skpower run`` and ``skpower bench`` share) says what the
 engine powers and how its factors are assembled.  The public functions
 advance the engine to ``spec.q`` and assemble; the benchmark steps it one
 iterate at a time, so its ``time_ms`` (sketch build and apply, start block
-and first product at q = 0, then one stabilization and pair per step; the
-secondary sketch, the assembly and the error evaluation excluded) comes
-from the same code that the library runs.
+and first product at q = 0, then per step one stabilization and core
+product, the Gram at the first, and the block ``Y = A S z``; the secondary
+sketch, the assembly and the error evaluation excluded) comes from the same
+code that the library runs.
 
 Seeds: the primary sketch uses substream 0 of ``spec.seed``, the Gaussian
 start block substream 1, and the secondary regression sketch substream 2,
@@ -128,13 +133,22 @@ def _pair(atil: np.ndarray, y: np.ndarray, stabilized: bool) -> np.ndarray:
     return atil @ (atil.T @ y)
 
 
+def _core_step(core: np.ndarray, z: np.ndarray, stabilized: bool) -> np.ndarray:
+    """One step on a small core matrix: ``core @ z``, stabilized first."""
+    if stabilized:
+        z = orthonormalize(z)
+    return core @ z
+
+
 def power_iterate(atil, omega, q: int, stabilized: bool = True) -> np.ndarray:
     """Compute a block with the column span of ``(atil @ atil.T)^q @ atil @ omega``.
 
-    With ``stabilized=False`` the product is returned literally, built by
+    This is the textbook iteration, and the engine's path for an identity
+    primary sketch (``atil = A``), where a Gram core would be n x n.  With
+    ``stabilized=False`` the product is returned literally, built by
     alternating right/left multiplications (the Gram matrix is never
     formed).  With ``stabilized=True`` the block is re-orthonormalized
-    after each application pair, which keeps the same span in exact
+    before each application pair, which keeps the same span in exact
     arithmetic while avoiding the catastrophic column collapse of high
     powers.
     """
@@ -159,16 +173,35 @@ class _Iterate:
     """The engine's state after ``q`` steps: everything an assembly reads."""
 
     q: int
-    y: np.ndarray  # the powered block
-    atil: np.ndarray  # A S (a copy of A under the identity sketch)
-    wtil: np.ndarray | None  # the Nystrom core S.T A S
+    atil: np.ndarray  # A S (A itself under the identity sketch)
     elapsed: dict[str, float]  # seconds per stage so far
+    y: np.ndarray | None = None  # the powered block Y (m x r2); None for Nystrom
+    z: np.ndarray | None = None  # the core iterate (r1 x r2), Y = atil @ z; None on the pair path
+    core: np.ndarray | None = None  # S.T A S for Nystrom, else atil.T @ atil once formed
     s2: SketchOperator | None = None  # secondary sketch of the regression
     s2a: np.ndarray | None = None  # S2.T A
+
+    def step(self, stabilized: bool) -> None:
+        """One power step: on the core when there is one, else the textbook pair."""
+        if self.z is None:
+            self.y = _pair(self.atil, self.y, stabilized)
+            return
+        if self.core is None:  # the Gram, formed once, at the first step
+            self.core = self.atil.T @ self.atil
+        self.z = _core_step(self.core, self.z, stabilized)
 
 
 def _iterates(a: np.ndarray, spec: RangeFinderSpec, entry: _Method):
     """Yield ``(state, seconds)`` after ``spec.q``, ``spec.q + 1``, ... steps.
+
+    A compressing primary sketch (``r1 < n``) is powered on its r1 x r1
+    core: ``(atil atil.T)^q atil Omega = atil (atil.T atil)^q Omega``, so
+    after one Gram ``atil.T @ atil`` (formed at the first step) each step
+    costs r1^2 r2 multiply-adds whatever m is, and its stabilization runs on
+    r1 x r2 blocks; the block ``Y = atil @ z`` is formed at each yield.
+    Nystrom steps the same way on its core ``S.T A S`` and needs no Y.  An
+    identity sketch keeps the textbook pair ``atil (atil.T y)`` of
+    :func:`power_iterate`, whose Gram would be n x n.
 
     ``seconds`` is the algorithm time since the previous yield.  The first
     covers the primary sketch build and apply, the start-block draw and the
@@ -187,29 +220,32 @@ def _iterates(a: np.ndarray, spec: RangeFinderSpec, entry: _Method):
         s2a = s2.apply_left_transpose(a)
     t_s2 = time.perf_counter()
     sketch = make_sketch(spec.sketch_kind, n, spec.r1, substream(spec.seed, 0), s=spec.s)
-    atil = sketch.apply_right(a)
-    wtil = None
+    state = _Iterate(spec.q, sketch.apply_right(a), {}, s2=s2, s2a=s2a)
     if entry.core:
-        wtil = sketch.apply_left_transpose(atil)
-        wtil = (wtil + wtil.T) / 2.0  # kill rounding asymmetry before powering
+        wtil = sketch.apply_left_transpose(state.atil)
+        state.core = (wtil + wtil.T) / 2.0  # kill rounding asymmetry before powering
     t_sketch = time.perf_counter()
     omega = _draw_omega(spec.r1, spec.r2, substream(spec.seed, 1))
-    if entry.core:
-        y = omega
+    if entry.core or spec.r1 < n:
+        state.z = omega
         for _ in range(spec.q):
-            y = wtil @ y
+            state.step(spec.stabilized)
     else:
-        y = power_iterate(atil, omega, spec.q, stabilized=spec.stabilized)
+        state.y = power_iterate(state.atil, omega, spec.q, stabilized=spec.stabilized)
+    expose = state.z is not None and not entry.core  # Y = atil @ z at every yield
+    if expose:
+        state.y = state.atil @ state.z
     t_power = time.perf_counter()
-    elapsed = {"sketch": t_sketch - t_s2, "power": t_power - t_sketch}
+    state.elapsed.update(sketch=t_sketch - t_s2, power=t_power - t_sketch)
     if entry.regression:
-        elapsed["regression"] = t_s2 - t0
-    state = _Iterate(spec.q, y, atil, wtil, elapsed, s2, s2a)
+        state.elapsed["regression"] = t_s2 - t0
     seconds = t_power - t_s2
     while True:
         yield state, seconds
         t0 = time.perf_counter()
-        state.y = wtil @ state.y if entry.core else _pair(atil, state.y, spec.stabilized)
+        state.step(spec.stabilized)
+        if expose:
+            state.y = state.atil @ state.z
         seconds = time.perf_counter() - t0
         state.q += 1
         state.elapsed["power"] += seconds
@@ -227,8 +263,8 @@ def _regression(state: _Iterate) -> dict[str, np.ndarray]:
 
 
 def _contraction(state: _Iterate) -> dict[str, np.ndarray]:
-    w = state.y.T @ (state.wtil @ state.y)
-    return {"C": state.atil @ state.y, "W": (w + w.T) / 2.0}
+    w = state.z.T @ (state.core @ state.z)
+    return {"C": state.atil @ state.z, "W": (w + w.T) / 2.0}
 
 
 class _Method(NamedTuple):
@@ -387,8 +423,9 @@ def nystrom_psd(a, spec: RangeFinderSpec) -> NystromResult:
     """Psd Nystrom approximation ``a ~= C @ pinv(W) @ C.T``.
 
     Builds the large intermediate pair C~ = a S, W~ = S.T a S, powers the
-    start block through the small core (Y = W~^q Omega), and contracts to
-    C = C~ Y, W = Y.T W~ Y.  The implied approximation is symmetric psd.
+    start block through the small core (Y = W~^q Omega, orthonormalized
+    before each application of W~ when ``spec.stabilized``), and contracts
+    to C = C~ Y, W = Y.T W~ Y.  The implied approximation is symmetric psd.
     """
     factors, elapsed = _advance(a, spec, "nystrom")
     return NystromResult(**factors, elapsed=elapsed)

@@ -43,6 +43,29 @@ def psd_polydecay(n: int, seed: int) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
+def psd_sqrt(a, sym_tol: float = 1e-10, eig_tol: float = 1e-10) -> np.ndarray:
+    """Symmetric psd square root ``B`` with ``B @ B == a``.
+
+    ``a`` must be symmetric within ``sym_tol`` (relative to its largest
+    entry) and have eigenvalues no smaller than ``-eig_tol * ||a||``;
+    eigenvalues in that tolerance band are clamped to zero.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    scale = np.abs(a).max()
+    if scale == 0.0:
+        return np.zeros_like(a)
+    if np.abs(a - a.T).max() > sym_tol * scale:
+        raise ValueError("matrix is not symmetric within tolerance")
+    w, v = np.linalg.eigh((a + a.T) / 2.0)
+    norm = np.abs(w).max()
+    if w.min() < -eig_tol * norm:
+        raise ValueError(
+            f"matrix is not psd: min eigenvalue {w.min():.3e} < {-eig_tol * norm:.3e}"
+        )
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    return (root + root.T) / 2.0
+
+
 def random_psd(n: int, seed: int) -> np.ndarray:
     """Generic random Gram matrix, scaled to O(1) eigenvalues."""
     rng = np.random.default_rng(seed)

@@ -21,6 +21,7 @@ from conftest import (
     CALIBRATED_GAUSSIAN_C,
     DELTA,
     GAUSSIAN_BLOCK_MULTIPLE,
+    psd_sqrt,
 )
 from skpower.bench import BenchConfig, dataset_spec, run_benchmark
 from skpower.data_io import gen_polydecay
@@ -34,7 +35,7 @@ from skpower.diagnostics import (
     projection_residuals,
     regularization_level,
 )
-from skpower.linalg import orthonormalize, pinv, psd_sqrt
+from skpower.linalg import orthonormalize, pinv
 from skpower.power import (
     RangeFinderSpec,
     choose_q,

@@ -5,42 +5,13 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from conftest import psd_sqrt
+
 import skpower
 from skpower import linalg
 from skpower.data_io import gen_expdecay
 from skpower.power import RangeFinderSpec, range_finder_sketched
-from skpower.linalg import (
-    matmul,
-    norms,
-    orthonormalize,
-    pinv,
-    psd_sqrt,
-    thin_svd,
-)
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((3, 5))
-        np.testing.assert_array_equal(matmul(np.eye(3), a), a)
-
-    def test_zero(self):
-        a = np.arange(6.0).reshape(2, 3) + 1.0
-        np.testing.assert_array_equal(matmul(a, np.zeros((3, 4))), np.zeros((2, 4)))
-
-    def test_hand_example(self):
-        out = matmul([[1.0, 2.0], [3.0, 4.0]], [[5.0], [6.0]])
-        np.testing.assert_array_equal(out, [[17.0], [39.0]])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_rejects_non_finite(self):
-        bad = np.array([[1.0, np.nan]])
-        with pytest.raises(ValueError, match="non-finite"):
-            matmul(bad, np.ones((2, 1)))
+from skpower.linalg import orthonormalize, pinv, thin_svd
 
 
 class TestOrthonormalize:
@@ -232,25 +203,9 @@ class TestPinv:
         np.testing.assert_allclose(mp @ m, (mp @ m).T, atol=1e-8)
 
 
-class TestNorms:
-    def test_diagonal_three_four_five(self):
-        assert norms(np.diag([4.0, 3.0])) == (4.0, 5.0)
-
-    def test_isometry(self):
-        rng = np.random.default_rng(8)
-        q = np.linalg.qr(rng.standard_normal((15, 6)))[0]
-        spectral, _ = norms(q)
-        assert abs(spectral - 1.0) <= 1e-10
-
-    def test_spectral_matches_svd(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((40, 40))
-        spectral, frob = norms(a)
-        assert abs(spectral - thin_svd(a).sigma[0]) <= 1e-10 * spectral
-        assert abs(frob - np.sqrt((a**2).sum())) <= 1e-12 * frob
-
-
 class TestPsdSqrt:
+    """The test helper ``psd_sqrt`` (tests/conftest.py) the Nystrom tests rely on."""
+
     def test_diagonal(self):
         np.testing.assert_allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12)
 

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -6,9 +9,11 @@ from conftest import (
     DELTA,
     GAUSSIAN_BLOCK_MULTIPLE,
     psd_polydecay,
+    psd_sqrt,
     random_lowrank,
     random_psd,
 )
+from skpower import power
 from skpower.data_io import gen_polydecay
 from skpower.diagnostics import (
     SpectralProfile,
@@ -18,7 +23,7 @@ from skpower.diagnostics import (
     projection_residuals,
     regularization_level,
 )
-from skpower.linalg import orthonormalize, pinv, psd_sqrt
+from skpower.linalg import orthonormalize, pinv
 from skpower.power import (
     RangeFinderSpec,
     choose_q,
@@ -94,6 +99,57 @@ class TestPowerIterate:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             power_iterate(np.ones((4, 3)), np.ones((4, 2)), 1)
+
+
+class TestCorePath:
+    """A compressing primary sketch (r1 < n) is powered on the r1 x r1 core."""
+
+    @pytest.mark.parametrize("q", [1, 5, 15])
+    @pytest.mark.parametrize("kind", ["countsketch", "gaussian", "srht"])
+    def test_same_span_as_textbook_pair(self, kind, q):
+        a = gen_polydecay(600, 300, seed=31)
+        spec = RangeFinderSpec(k=10, l=40, r1=100, r2=20, q=q, eps=0.5, sketch_kind=kind, seed=32)
+        q_core = range_finder_sketched(a, spec)
+        atil = make_sketch(kind, 300, 100, substream(32, 0), s=spec.s).apply_right(a)
+        omega = make_sketch("gaussian", 100, 20, substream(32, 1)).densify()
+        q_pair = orthonormalize(power_iterate(atil, omega, q))
+        assert q_core.shape == q_pair.shape
+        assert np.abs(q_core @ q_core.T - q_pair @ q_pair.T).max() <= 1e-10
+
+    def test_compressing_sketch_runs_no_m_row_pair(self, monkeypatch):
+        def m_row_pair(*args, **kwargs):
+            raise AssertionError("an m-row power pair ran on a compressing sketch")
+
+        monkeypatch.setattr(power, "_pair", m_row_pair)
+        monkeypatch.setattr(power, "power_iterate", m_row_pair)
+        a = random_psd(60, seed=33)
+        for stabilized in (True, False):
+            spec = RangeFinderSpec(
+                k=4, l=8, r1=20, r2=8, q=3, eps=0.5, sketch_kind="gaussian", seed=34,
+                stabilized=stabilized,
+            )
+            range_finder_sketched(a, spec)
+            lowrank_factorize(a, spec)
+            nystrom_psd(a, spec)
+            for method in ("sketched-randsvd", "lowrank-factorize", "nystrom"):  # stepped, as in bench
+                list(islice(power._iterates(a, replace(spec, q=0), power._METHODS[method]), 4))
+
+    @pytest.mark.parametrize("stabilized", [True, False])
+    def test_identity_sketch_keeps_textbook_pair(self, stabilized):
+        a = gen_polydecay(60, 40, seed=35)
+        omega = make_sketch("gaussian", 40, 8, substream(36, 1)).densify()
+        spec = RangeFinderSpec(
+            k=4, l=10, r1=40, r2=8, q=3, eps=0.5, sketch_kind="identity", seed=36,
+            stabilized=stabilized, s2_kind="gaussian",
+        )
+        expected = power_iterate(a, omega, 3, stabilized=stabilized)
+        np.testing.assert_array_equal(
+            range_finder_classical(a, 4, 8, 3, seed=36, stabilized=stabilized), orthonormalize(expected)
+        )
+        np.testing.assert_array_equal(lowrank_factorize(a, spec).Y, expected)
+        entry = power._METHODS["lowrank-factorize-unsketched"]
+        for state, _ in islice(power._iterates(a, replace(spec, q=0), entry), 4):
+            np.testing.assert_array_equal(state.y, power_iterate(a, omega, state.q, stabilized))
 
 
 class TestRangeFinderSketched:
@@ -286,6 +342,39 @@ class TestNystromPsd:
         q_basis = range_finder_sketched(a_half, spec)
         rhs = a_half @ (q_basis @ (q_basis.T @ a_half))
         assert np.linalg.norm(lhs - rhs, 2) <= 1e-7 * np.linalg.norm(a, 2)
+
+    def test_stable_in_q(self):
+        # Each W~ application is preceded by an orthonormalization; the
+        # literal W~^q Omega collapsed to the top directions (rel_err 3.39
+        # at q = 10 and 9.50 at q = 40, cond(W) 5e19).
+        a = psd_polydecay(600, 1)
+        sigma_next = 600 / 21  # eigenvalue n / (k + 1)
+        errs, conds = {}, {}
+        for q in (0, 2, 5, 10, 20, 40):
+            spec = RangeFinderSpec(
+                k=20, l=200, r1=200, r2=20, q=q, eps=0.5, sketch_kind="gaussian", seed=3
+            )
+            ny = nystrom_psd(a, spec)
+            errs[q] = np.linalg.norm(a - ny.C @ (pinv(ny.W) @ ny.C.T), 2) / sigma_next - 1.0
+            conds[q] = np.linalg.cond(ny.W)
+        assert errs[10] <= 0.5 and errs[40] <= 0.5
+        assert errs[40] <= 1.05 * errs[10]
+        assert max(conds.values()) <= 1e6
+
+    def test_unstabilized_core_is_literal_power(self):
+        a = random_psd(50, seed=37)
+        spec = RangeFinderSpec(
+            k=4, l=6, r1=18, r2=8, q=3, eps=0.5, sketch_kind="gaussian", seed=38, stabilized=False
+        )
+        ny = nystrom_psd(a, spec)
+        sketch = make_sketch("gaussian", 50, 18, substream(38, 0))
+        atil = sketch.apply_right(a)
+        wtil = sketch.apply_left_transpose(atil)
+        wtil = (wtil + wtil.T) / 2.0
+        y = make_sketch("gaussian", 18, 8, substream(38, 1)).densify()
+        for _ in range(3):
+            y = wtil @ y
+        np.testing.assert_array_equal(ny.C, atil @ y)
 
     def test_psd_polydecay_error_bound_ensemble(self):
         a = psd_polydecay(300, seed=7)
