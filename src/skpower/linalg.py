@@ -66,7 +66,8 @@ def orthonormalize(y, tol: float | None = None) -> np.ndarray:
     factorizations succeed and each ``cond(R) <= min(eps^(-1/2), 1/tol)``;
     in that range the general path keeps every column, and two passes give
     orthogonality to working precision.  Both paths return a basis of the
-    same span.
+    same span.  :func:`span_basis` is its span-only sibling, run between
+    power steps: one pass, with this function as the fallback.
 
     Parameters
     ----------
@@ -78,8 +79,24 @@ def orthonormalize(y, tol: float | None = None) -> np.ndarray:
     y = as_matrix(y, "y")
     if tol is None:
         tol = _default_rel_tol(y.shape)
-    q = _cholesky_qr2(y, min(_CHOLQR_MAX_COND, 1.0 / tol))
+    max_cond = min(_CHOLQR_MAX_COND, 1.0 / tol)
+    q = _cholesky_qr_pass(y, max_cond)
+    q = None if q is None else _cholesky_qr_pass(q, max_cond)
     return _qr_svd_basis(y, tol) if q is None else q
+
+
+def span_basis(y) -> np.ndarray:
+    """Well-conditioned basis of the range of ``y``, for use between power steps.
+
+    One CholeskyQR pass ``Q = y R^-1``, kept when ``max |Q.T Q - I| <= 0.1``
+    (a pass leaves about ``cond(y)^2 eps``); otherwise ``orthonormalize(y)``,
+    which drops the columns of rank-deficient and ill-conditioned blocks.
+    """
+    y = as_matrix(y, "y")
+    q = _cholesky_qr_pass(y)
+    if q is not None and np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 0.1:
+        return q
+    return orthonormalize(y)
 
 
 # CholeskyQR squares the condition number in the Gram matrix; beyond
@@ -87,19 +104,17 @@ def orthonormalize(y, tol: float | None = None) -> np.ndarray:
 _CHOLQR_MAX_COND = np.finfo(np.float64).eps ** -0.5
 
 
-def _cholesky_qr2(y: np.ndarray, max_cond: float) -> np.ndarray | None:
-    """CholeskyQR2 basis of ``y``, or None when a pass is not safe to take."""
-    q = y
-    for _ in range(2):
-        try:
-            lower = np.linalg.cholesky(q.T @ q)
-        except np.linalg.LinAlgError:
-            return None
+def _cholesky_qr_pass(y: np.ndarray, max_cond: float | None = None) -> np.ndarray | None:
+    """``y R^-1`` with ``R.T R = y.T y``; None if the Cholesky fails or cond(R) > max_cond."""
+    try:
+        lower = np.linalg.cholesky(y.T @ y)
+    except np.linalg.LinAlgError:
+        return None
+    if max_cond is not None:
         sv = np.linalg.svd(lower, compute_uv=False)
         if not (np.isfinite(sv[0]) and sv[0] <= max_cond * sv[-1]):
             return None
-        q = q @ np.linalg.inv(lower).T
-    return q
+    return y @ np.linalg.inv(lower).T
 
 
 def _qr_svd_basis(y: np.ndarray, tol: float) -> np.ndarray:

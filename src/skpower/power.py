@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import as_matrix, orthonormalize, pinv, thin_svd, SvdResult
+from .linalg import as_matrix, orthonormalize, pinv, span_basis, thin_svd, SvdResult
 from .sketching import SketchOperator, make_sketch, substream
 
 
@@ -70,8 +70,9 @@ class RangeFinderSpec:
     ``k``: target rank; ``l``: intermediate rank (k <= l) controlling the
     additive error tail; ``r1``: primary sketch size; ``r2``: block size of
     the Gaussian start (>= k, commonly 2k); ``q``: power-iteration count;
-    ``eps``: nominal accuracy in (0, 1/2]; ``stabilized``: re-orthonormalize
-    between iterations (recommended for q more than a few).
+    ``eps``: nominal accuracy in (0, 1/2]; ``stabilized``: re-base the
+    iterate on a well-conditioned basis between iterations (recommended for
+    q more than a few).
 
     ``s2_kind``/``s2_r`` configure the secondary regression sketch used by
     :func:`lowrank_factorize` (default: same family and size as the primary
@@ -127,16 +128,16 @@ class NystromResult:
 
 
 def _pair(atil: np.ndarray, y: np.ndarray, stabilized: bool) -> np.ndarray:
-    """One step of the ``atil`` iteration: ``atil @ (atil.T @ y)``, stabilized first."""
+    """``atil @ (atil.T @ y)``, ``y`` first re-based on a well-conditioned basis of its span."""
     if stabilized:
-        y = orthonormalize(y)
+        y = span_basis(y)
     return atil @ (atil.T @ y)
 
 
 def _core_step(core: np.ndarray, z: np.ndarray, stabilized: bool) -> np.ndarray:
-    """One step on a small core matrix: ``core @ z``, stabilized first."""
+    """``core @ z``, ``z`` first re-based on a well-conditioned basis of its span."""
     if stabilized:
-        z = orthonormalize(z)
+        z = span_basis(z)
     return core @ z
 
 
@@ -147,10 +148,10 @@ def power_iterate(atil, omega, q: int, stabilized: bool = True) -> np.ndarray:
     primary sketch (``atil = A``), where a Gram core would be n x n.  With
     ``stabilized=False`` the product is returned literally, built by
     alternating right/left multiplications (the Gram matrix is never
-    formed).  With ``stabilized=True`` the block is re-orthonormalized
-    before each application pair, which keeps the same span in exact
-    arithmetic while avoiding the catastrophic column collapse of high
-    powers.
+    formed).  With ``stabilized=True`` the block is re-based on a
+    well-conditioned basis of the same span before each application pair,
+    which keeps the span in exact arithmetic while avoiding the
+    catastrophic column collapse of high powers.
     """
     atil = as_matrix(atil, "atil")
     omega = as_matrix(omega, "omega")
@@ -347,6 +348,8 @@ def _advance(a, spec: RangeFinderSpec, method: str) -> tuple[dict[str, np.ndarra
         entry.check(a)
     spec.validate(*a.shape)
     state, _ = next(_iterates(a, spec, entry))
+    if not entry.core:  # the assembly reads Y (and S2): free A S and its Gram before it runs
+        state.atil = state.core = None
     t0 = time.perf_counter()
     factors = entry.assemble(state)
     elapsed = state.elapsed
@@ -423,9 +426,10 @@ def nystrom_psd(a, spec: RangeFinderSpec) -> NystromResult:
     """Psd Nystrom approximation ``a ~= C @ pinv(W) @ C.T``.
 
     Builds the large intermediate pair C~ = a S, W~ = S.T a S, powers the
-    start block through the small core (Y = W~^q Omega, orthonormalized
-    before each application of W~ when ``spec.stabilized``), and contracts
-    to C = C~ Y, W = Y.T W~ Y.  The implied approximation is symmetric psd.
+    start block through the small core (Y = W~^q Omega, re-based on a
+    well-conditioned basis of its span before each application of W~ when
+    ``spec.stabilized``), and contracts to C = C~ Y, W = Y.T W~ Y.  The
+    implied approximation is symmetric psd.
     """
     factors, elapsed = _advance(a, spec, "nystrom")
     return NystromResult(**factors, elapsed=elapsed)

@@ -174,7 +174,7 @@ class SketchOperator:
     # -- application ---------------------------------------------------
 
     def apply_right(self, a) -> np.ndarray:
-        """Compute ``a @ S`` for ``a`` with ``n`` columns."""
+        """Compute ``a @ S`` for ``a`` with ``n`` columns; the identity returns ``a`` itself."""
         a = as_matrix(a, "a")
         if a.shape[1] != self.n:
             raise ValueError(f"dimension mismatch: a has {a.shape[1]} cols, sketch n={self.n}")
@@ -187,11 +187,11 @@ class SketchOperator:
             mixed /= math.sqrt(self.r)
             return mixed
         if self.kind == "identity":
-            return a.copy()
+            return a
         return a @ self._dense
 
     def apply_left_transpose(self, a) -> np.ndarray:
-        """Compute ``S.T @ a`` for ``a`` with ``n`` rows."""
+        """Compute ``S.T @ a`` for ``a`` with ``n`` rows; the identity returns ``a`` itself."""
         a = as_matrix(a, "a")
         if a.shape[0] != self.n:
             raise ValueError(f"dimension mismatch: a has {a.shape[0]} rows, sketch n={self.n}")
@@ -204,7 +204,7 @@ class SketchOperator:
             mixed /= math.sqrt(self.r)
             return mixed
         if self.kind == "identity":
-            return a.copy()
+            return a
         return self._dense.T @ a
 
     def densify(self) -> np.ndarray:

@@ -11,7 +11,7 @@ import skpower
 from skpower import linalg
 from skpower.data_io import gen_expdecay
 from skpower.power import RangeFinderSpec, range_finder_sketched
-from skpower.linalg import orthonormalize, pinv, thin_svd
+from skpower.linalg import orthonormalize, pinv, span_basis, thin_svd
 
 
 class TestOrthonormalize:
@@ -130,6 +130,52 @@ class TestOrthonormalizePaths:
         assert fallback_calls
         assert np.all(np.isfinite(q))
         assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-12
+
+
+class TestSpanBasis:
+    """The in-loop stabilizer: one CholeskyQR pass, ``orthonormalize`` as the fallback."""
+
+    def test_well_conditioned_block_takes_one_pass(self, fallback_calls, monkeypatch):
+        y = _block(300, np.logspace(0, -4, 40), seed=12)
+        reference = orthonormalize(y)
+        calls = []
+        monkeypatch.setattr(linalg, "orthonormalize", lambda *args: calls.append(args))
+        q = span_basis(y)
+        assert calls == [] and fallback_calls == []
+        assert q.shape == (300, 40)
+        assert np.abs(q.T @ q - np.eye(40)).max() <= 0.1
+        projector = q @ np.linalg.solve(q.T @ q, q.T)
+        np.testing.assert_allclose(projector, reference @ reference.T, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "singular_values",
+        [
+            np.logspace(0, -10, 30),
+            np.r_[np.logspace(0, -2, 22), np.zeros(8)],
+            np.r_[np.logspace(0, -3, 24), np.full(6, 1e-9)],
+        ],
+        ids=["cond-1e10", "rank-deficient", "noise-1e-9"],
+    )
+    def test_ill_conditioned_block_falls_back_to_orthonormalize(
+        self, fallback_calls, singular_values
+    ):
+        y = _block(200, singular_values, seed=13)
+        q = span_basis(y)
+        assert len(fallback_calls) == 1
+        np.testing.assert_array_equal(q, orthonormalize(y))
+
+    def test_pass_rejected_by_gram_test_falls_back(self, fallback_calls):
+        # Gram entry 1 + 3e-16 rounds to 1 + eps: the Cholesky succeeds, but
+        # the pass scales the second column by sqrt(3e-16 / eps) = 1.16
+        y = np.array([[1.0, 1.0], [0.0, np.sqrt(3e-16)], [0.0, 0.0]])
+        q = linalg._cholesky_qr_pass(y)
+        assert np.abs(q.T @ q - np.eye(2)).max() > 0.1
+        np.testing.assert_array_equal(span_basis(y), orthonormalize(y))
+        assert len(fallback_calls) == 2
+
+    def test_all_zero_errors(self):
+        with pytest.raises(ValueError, match="all-zero"):
+            span_basis(np.zeros((4, 2)))
 
 
 def test_package_does_not_import_scipy_linalg():

@@ -152,6 +152,36 @@ class TestCorePath:
             np.testing.assert_array_equal(state.y, power_iterate(a, omega, state.q, stabilized))
 
 
+class TestInLoopStabilizer:
+    """Between steps the iterate is re-based by ``span_basis``; only the final basis is orthonormalized."""
+
+    def test_final_basis_is_the_only_orthonormalize(self, monkeypatch):
+        shapes = []
+
+        def spy(y, tol=None):
+            shapes.append(y.shape)
+            return orthonormalize(y, tol)
+
+        monkeypatch.setattr(power, "orthonormalize", spy)
+        a = gen_polydecay(600, 300, seed=39)
+        spec = RangeFinderSpec(k=10, l=40, r1=100, r2=20, q=15, eps=0.5, sketch_kind="countsketch", seed=40)
+        q = range_finder_sketched(a, spec)
+        assert shapes == [(600, 20)]
+        assert q.shape == (600, 20)
+
+    @pytest.mark.parametrize("q", [3, 15, 40])
+    @pytest.mark.parametrize("kind", ["countsketch", "gaussian", "srht"])
+    def test_exact_rank_block_keeps_rank_columns(self, kind, q):
+        # r2 = 60 on a rank-30 matrix: after the first core product the
+        # iterate is rank deficient, so the stabilizer must fall back and drop columns
+        a = random_lowrank(500, 300, rank=30, seed=41)
+        spec = RangeFinderSpec(k=30, l=60, r1=120, r2=60, q=q, eps=0.5, sketch_kind=kind, seed=42)
+        q_basis = range_finder_sketched(a, spec)
+        assert q_basis.shape == (500, 30)
+        resid = np.linalg.norm(a - q_basis @ (q_basis.T @ a), 2)
+        assert resid <= 1e-12 * np.linalg.norm(a, 2)
+
+
 class TestRangeFinderSketched:
     def test_rank_one_target(self):
         a = np.diag([5.0, 0.0, 0.0])

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from skpower.data_io import gen_polydecay
+from skpower.power import randsvd, range_finder_classical
 from skpower.sketching import (
     SKETCH_KINDS,
     countsketch_size,
@@ -123,6 +125,14 @@ class TestApply:
         a = rng.standard_normal((4, 9))
         np.testing.assert_array_equal(op.apply_right(a), a)
         np.testing.assert_array_equal(op.densify(), np.eye(9))
+        # the identity returns its validated input, not a copy
+        assert op.apply_right(a) is a
+        assert make_sketch("identity", 4, 4, seed=0).apply_left_transpose(a) is a
+        # so a full classical-randsvd run, which powers A itself, must leave it unmodified
+        a = gen_polydecay(60, 40, seed=17)
+        before = a.copy()
+        randsvd(a, range_finder_classical(a, 4, 8, 3, seed=18))
+        np.testing.assert_array_equal(a, before)
 
 
 def test_fwht_matches_explicit_hadamard():
