@@ -11,10 +11,12 @@ Gaussian start block of size ``r2 = k``.
 
 ``time_ms`` is the cumulative algorithm time the engine reports: sketch
 construction and the sketched product (attributed to the q = 0 point), the
-start-block draw, and each power step with its stabilization QR when
-enabled.  On a compressing sketch a step is the r1 x r1 core product (the
-Gram ``(A S)^T (A S)`` formed at the first) plus the block ``Y = A S z``; on
-the identity sketch of a classical baseline it is the pair ``A (A^T Y)``.
+start-block draw, and each power step with its in-loop stabilization when
+enabled (one CholeskyQR pass, or the full orthonormalization when that pass
+leaves the block too far from orthonormal).  On a compressing sketch a step
+is the r1 x r1 core product (the Gram ``(A S)^T (A S)`` formed at the
+first) plus the block ``Y = A S z``; on the identity sketch of a classical
+baseline it is the pair ``A (A^T Y)``.
 The secondary regression sketch (built once per series), the
 per-point factorization assembly (orthonormalization / regression / Nystrom
 contraction) and the error evaluation are excluded: the assembly is
@@ -36,15 +38,12 @@ from __future__ import annotations
 
 import csv
 import os
-import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from itertools import islice
 
-import numpy as np
-
 from . import data_io
-from .data_io import TrialRecord, gen_expdecay, gen_lowrank_plus_noise, gen_polydecay
+from .data_io import TrialRecord
 from .diagnostics import (
     SpectralProfile,
     estimated_approximation_residuals,
@@ -62,73 +61,52 @@ DEFAULT_QMAX_CLASSICAL = 5
 _ERR_STREAM = 100  # substream tag for the residual-estimator start block
 
 
-@dataclass(frozen=True)
-class DatasetSpec:
-    """Where a benchmark matrix comes from: a file or a synthetic recipe.
-
-    Synthetic recipes are strings like ``polydecay:400x200:seed=7``,
-    ``expdecay:300x100:rate=0.05:seed=1`` or
-    ``lowrank:200x100:rank=10:noise=0.01:seed=2``; anything else is treated
-    as a path (``.skpw`` binary or MatrixMarket).
-    """
-
-    source: str
-    label: str
-
-    def load(self) -> np.ndarray:
-        parsed = _parse_synthetic(self.source)
-        if parsed is not None:
-            return parsed
-        if self.source.endswith(".skpw"):
-            return data_io.read_binary(self.source)
-        return data_io.read_matrix_market(self.source)
+def _words(text) -> list[str]:
+    return str(text).replace(",", " ").split()
 
 
-def _parse_synthetic(text: str):
-    match = re.match(r"^(polydecay|expdecay|lowrank):(\d+)x(\d+)(.*)$", text)
-    if not match:
-        return None
-    name, m, n = match.group(1), int(match.group(2)), int(match.group(3))
-    opts = {}
-    for part in match.group(4).split(":"):
-        if part:
-            key, _, value = part.partition("=")
-            opts[key] = value
-    seed = int(opts.get("seed", 0))
-    if name == "polydecay":
-        return gen_polydecay(m, n, seed)
-    if name == "expdecay":
-        return gen_expdecay(m, n, float(opts.get("rate", 0.1)), seed)
-    return gen_lowrank_plus_noise(
-        m, n, int(opts.get("rank", 10)), float(opts.get("noise", 0.0)), seed
-    )
-
-
-def dataset_spec(source: str, label: str | None = None) -> DatasetSpec:
-    if label is None:
-        label = os.path.basename(source) if os.sep in source or source.endswith((".skpw", ".mtx")) else source
-    return DatasetSpec(source=source, label=label)
+def _option(default, parse, key: str | None = None):
+    """A config option: its default, the parser of its string value and its
+    config key (the field name unless ``key``)."""
+    init = {"default_factory": lambda: list(default)} if isinstance(default, list) else {"default": default}
+    return field(metadata={"parse": parse, "key": key}, **init)
 
 
 @dataclass
 class BenchConfig:
-    """Everything one benchmark run needs; mirrors the flat config-file keys."""
+    """Everything one benchmark run needs; each field is one flat config-file key.
 
-    dataset: DatasetSpec
-    methods: list[str]
-    k: int
-    l_values: list[int]
-    eps: float = 0.5
-    q_max: int | None = None  # None: 15 for sketched methods, 5 for classical
-    trials: int = 20
-    root_seed: int = 0
-    sketch_kind: str = "countsketch"
-    s: int = 1
-    output_path: str = "bench.csv"
-    workers: int = 1
-    stabilized: bool = True
+    ``dataset`` is what :func:`skpower.data_io.load_matrix` accepts: a
+    synthetic recipe such as ``polydecay:400x200:seed=7``, a ``.skpw`` path
+    or a MatrixMarket path.  ``label`` (the records' ``dataset`` column)
+    defaults to its basename.
+    """
+
+    dataset: str = _option("", str)
+    methods: list[str] = _option(["sketched-randsvd", "classical-randsvd"], _words)
+    k: int = _option(40, int)
+    l_values: list[int] = _option([], lambda text: [int(tok) for tok in _words(text)])
+    eps: float = _option(0.5, float)
+    # None: 15 for sketched methods, 5 for classical
+    q_max: int | None = _option(None, lambda text: None if text == "" else int(text))
+    trials: int = _option(20, int)
+    root_seed: int = _option(0, int)
+    sketch_kind: str = _option("countsketch", str)
+    s: int = _option(1, int)
+    output_path: str = _option("bench.csv", str, key="output")
+    workers: int = _option(1, int)
+    stabilized: bool = _option(True, lambda text: str(text).lower() not in ("false", "0", "no"))
+    label: str | None = _option(None, str)
+
+    def __post_init__(self) -> None:
+        if self.label is None:
+            self.label = os.path.basename(self.dataset)
 
     def validate(self) -> None:
+        if not self.dataset:
+            raise ValueError("config needs a dataset")
+        if not self.l_values:
+            raise ValueError("config needs at least one l value")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.q_max is not None and self.q_max < 0:
@@ -151,22 +129,8 @@ class BenchConfig:
         return DEFAULT_QMAX_SKETCHED if _METHODS[method].sketched else DEFAULT_QMAX_CLASSICAL
 
 
-_CONFIG_KEYS = {
-    "dataset",
-    "label",
-    "methods",
-    "k",
-    "l_values",
-    "eps",
-    "q_max",
-    "trials",
-    "root_seed",
-    "sketch_kind",
-    "s",
-    "output",
-    "workers",
-    "stabilized",
-}
+# config key -> BenchConfig field
+CONFIG_KEYS = {f.metadata["key"] or f.name: f for f in fields(BenchConfig)}
 
 
 def parse_config_file(path: str) -> dict:
@@ -179,33 +143,17 @@ def parse_config_file(path: str) -> dict:
                 continue
             key, sep, value = text.partition("=")
             key = key.strip()
-            if not sep or key not in _CONFIG_KEYS:
+            if not sep or key not in CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: bad config line {line.rstrip()!r}")
             values[key] = value.strip()
     return values
 
 
 def config_from_mapping(values: dict) -> BenchConfig:
-    """Build a BenchConfig from string-valued config keys (file or CLI merged)."""
-    if "dataset" not in values:
-        raise ValueError("config needs a dataset")
+    """Build a BenchConfig from config keys (file or CLI merged); absent keys take the field defaults."""
     cfg = BenchConfig(
-        dataset=dataset_spec(values["dataset"], values.get("label")),
-        methods=[m.strip() for m in values.get("methods", "sketched-randsvd,classical-randsvd").split(",") if m.strip()],
-        k=int(values.get("k", 40)),
-        l_values=[int(tok) for tok in str(values.get("l_values", "")).replace(",", " ").split()],
-        eps=float(values.get("eps", 0.5)),
-        q_max=int(values["q_max"]) if values.get("q_max") not in (None, "") else None,
-        trials=int(values.get("trials", 20)),
-        root_seed=int(values.get("root_seed", 0)),
-        sketch_kind=values.get("sketch_kind", "countsketch"),
-        s=int(values.get("s", 1)),
-        output_path=values.get("output", "bench.csv"),
-        workers=int(values.get("workers", 1)),
-        stabilized=str(values.get("stabilized", "true")).lower() not in ("false", "0", "no"),
+        **{CONFIG_KEYS[key].name: CONFIG_KEYS[key].metadata["parse"](value) for key, value in values.items()}
     )
-    if not cfg.l_values:
-        raise ValueError("config needs at least one l value")
     cfg.validate()
     return cfg
 
@@ -246,7 +194,7 @@ def _run_series(a, profile, cfg: BenchConfig, method: str, l: int, trial: int, s
         rows.append(
             TrialRecord(
                 method=method,
-                dataset=cfg.dataset.label,
+                dataset=cfg.label,
                 m=a.shape[0],
                 n=a.shape[1],
                 k=cfg.k,
@@ -293,7 +241,7 @@ def run_benchmark(cfg: BenchConfig, csv_path: str | None = None, progress=None) 
     """
     cfg.validate()
     path = csv_path or cfg.output_path
-    a = cfg.dataset.load()
+    a = data_io.load_matrix(cfg.dataset)
     for check in {_METHODS[method].check for method in cfg.methods} - {None}:
         check(a)
     profile = SpectralProfile.from_matrix(a)

@@ -46,24 +46,17 @@ def _print_kv(**kwargs) -> None:
 
 
 def _cmd_gen(args) -> int:
-    m, n, seed = args.m, args.n, args.seed
-    if args.kind == "polydecay":
-        matrix = data_io.gen_polydecay(m, n, seed)
-        spectrum = max(m, n) / np.arange(1.0, min(m, n) + 1.0)
-    elif args.kind == "expdecay":
-        matrix = data_io.gen_expdecay(m, n, args.rate, seed)
-        spectrum = np.exp(-args.rate * np.arange(min(m, n), dtype=float))
-    else:
-        matrix = data_io.gen_lowrank_plus_noise(m, n, args.rank, args.noise, seed)
-        spectrum = np.ones(args.rank)
-    data_io.write_binary(matrix, args.out)
-    top = ", ".join(f"{v:.6g}" for v in spectrum[:5])
+    recipe = data_io.RECIPES[args.kind]
+    options = {key: getattr(args, key) for key in recipe.options}
+    data_io.write_binary(recipe.generate(args.m, args.n, **options), args.out)
+    spectrum = recipe.spectrum(args.m, args.n, **options)
+    top = ", ".join(f"{v:.12g}" for v in spectrum[:5])
     _print_kv(
         out=args.out,
         kind=args.kind,
-        m=m,
-        n=n,
-        seed=seed,
+        m=args.m,
+        n=args.n,
+        **options,
         prescribed_top_singular_values=f"[{top}{', ...' if len(spectrum) > 5 else ''}]",
         prescribed_sigma_min=float(spectrum[-1]),
     )
@@ -89,13 +82,10 @@ def _derive_parameters(args, m: int, n: int, entry):
         return r1, args.r2, args.q, (s if s is not None else 1)
     if args.l is None:
         raise ValueError("either --l (with --eps) or all of --r1/--r2/--q are required")
-    if args.sketch == "countsketch":
-        r1_sized, s_auto = sketching.countsketch_size(args.l, args.eps, args.delta, args.c)
-        if s is None:
-            s = s_auto
-    else:
-        r1_sized = sketching.sketch_size(args.sketch, args.l, args.eps, args.delta, args.c, n=n)
-        s = s if s is not None else 1
+    r1_sized = sketching.sketch_size(args.sketch, args.l, args.eps, args.delta, args.c, n=n)
+    if s is None:  # a CountSketch takes the per-row fill of its sizing rule, other sketches 1
+        countsketch = args.sketch == "countsketch"
+        s = sketching.countsketch_size(args.l, args.eps, args.delta, args.c)[1] if countsketch else 1
     r1 = r1 if r1 is not None else min(r1_sized, n)
     r2 = args.r2 if args.r2 is not None else 2 * args.k
     m_hat = min(m, r1 if entry.sketched else n)  # a classical baseline powers all n columns
@@ -104,7 +94,7 @@ def _derive_parameters(args, m: int, n: int, entry):
 
 
 def _cmd_run(args) -> int:
-    a = bench_mod.dataset_spec(args.data).load()
+    a = data_io.load_matrix(args.data)
     m, n = a.shape
     entry = power._METHODS[args.method]
     r1, r2, q, s = _derive_parameters(args, m, n, entry)
@@ -122,14 +112,12 @@ def _cmd_run(args) -> int:
     )
     spec = power._method_spec(args.method, base, n)
     profile = diagnostics.SpectralProfile.from_matrix(a)
-    t0 = time.perf_counter()
     saved, stage = power._advance(a, spec, args.method)
     if entry.approximation is None:
         q_basis = saved["Q"]
-        stage = {"rangefinder": time.perf_counter() - t0}
-        t1 = time.perf_counter()
+        t0 = time.perf_counter()
         u, sigma, v = power.randsvd(a, q_basis)
-        stage["svd_assembly"] = time.perf_counter() - t1
+        stage["svd_assembly"] = time.perf_counter() - t0
         spec_err, frob_err = diagnostics.projection_residuals(a, q_basis)
         saved = {"U": u, "sigma": sigma.reshape(1, -1), "V": v}
     else:
@@ -171,27 +159,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    values: dict = {}
-    if args.config:
-        values.update(bench_mod.parse_config_file(args.config))
-    overrides = {
-        "dataset": args.data,
-        "label": args.label,
-        "methods": args.methods,
-        "k": args.k,
-        "l_values": args.l_values,
-        "eps": args.eps,
-        "q_max": args.q_max,
-        "trials": args.trials,
-        "root_seed": args.seed,
-        "sketch_kind": args.sketch,
-        "s": args.s,
-        "output": args.out,
-        "workers": args.workers,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            values[key] = value
+    values = bench_mod.parse_config_file(args.config) if args.config else {}
+    values.update(
+        (key, value) for key, value in vars(args).items() if key in bench_mod.CONFIG_KEYS and value is not None
+    )
     cfg = bench_mod.config_from_mapping(values)
 
     def progress(rec):
@@ -212,7 +183,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    a = bench_mod.dataset_spec(args.data).load()
+    a = data_io.load_matrix(args.data)
     m, n = a.shape
     cap = diagnostics._CERTIFIER_MAX_ROWS
     if m > cap:
@@ -224,8 +195,6 @@ def _cmd_verify(args) -> int:
     lam = diagnostics.regularization_level(profile, args.k)
     if args.r is not None:
         r = args.r
-    elif args.sketch == "countsketch":
-        r = sketching.countsketch_size(args.k, args.eps, args.delta, args.c)[0]
     else:
         r = sketching.sketch_size(args.sketch, args.k, args.eps, args.delta, args.c, n=n)
     passes = 0
@@ -262,37 +231,40 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     gen = sub.add_parser("gen", help="generate a synthetic matrix file")
-    gen.add_argument("kind", choices=["polydecay", "expdecay", "lowrank"])
+    gen.add_argument("kind", choices=list(data_io.RECIPES))
     gen.add_argument("--m", type=int, required=True)
     gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--rate", type=float, default=0.1, help="expdecay rate")
-    gen.add_argument("--rank", type=int, default=10, help="lowrank rank")
-    gen.add_argument("--noise", type=float, default=0.0, help="lowrank noise level")
+    options = {key: default for recipe in data_io.RECIPES.values() for key, default in recipe.options.items()}
+    for key, default in options.items():
+        kinds = [kind for kind, recipe in data_io.RECIPES.items() if key in recipe.options]
+        gen.add_argument(f"--{key}", type=type(default), default=default, help=f"option of {', '.join(kinds)}")
     gen.add_argument("--out", required=True, help="output .skpw path")
     gen.set_defaults(func=_cmd_gen)
 
-    run = sub.add_parser("run", help="run one algorithm once and print errors")
-    run.add_argument("--data", required=True, help="dataset path or synthetic recipe")
+    sized = _Parser(add_help=False)  # the options run and verify share: the input and the sizing rule
+    sized.add_argument("--data", required=True, help="dataset path or synthetic recipe")
+    sized.add_argument("--k", type=int, required=True)
+    sized.add_argument("--eps", type=float, default=0.5)
+    sized.add_argument("--delta", type=float, default=0.1)
+    sized.add_argument("--c", type=float, default=2.0, help="sketch-size multiplier")
+    sized.add_argument("--seed", type=int, default=0)
+
+    run = sub.add_parser("run", parents=[sized], help="run one algorithm once and print errors")
     run.add_argument("--method", required=True, choices=list(power._METHODS))
-    run.add_argument("--k", type=int, required=True)
     run.add_argument("--l", type=int)
-    run.add_argument("--eps", type=float, default=0.5)
-    run.add_argument("--delta", type=float, default=0.1)
-    run.add_argument("--c", type=float, default=2.0, help="sketch-size multiplier")
     run.add_argument("--r1", type=int, help="explicit primary sketch size")
     run.add_argument("--r2", type=int, help="explicit block size")
     run.add_argument("--q", type=int, help="explicit power-iteration count")
     run.add_argument("--sketch", default="countsketch", choices=list(sketching.SKETCH_KINDS))
     run.add_argument("--s", type=int, help="countsketch non-zeros per row")
-    run.add_argument("--seed", type=int, default=0)
     run.add_argument("--no-stabilize", action="store_true")
     run.add_argument("--save-prefix", help="write factors as <prefix>.<name>.skpw")
     run.set_defaults(func=_cmd_run)
 
     bench = sub.add_parser("bench", help="error-vs-time benchmark, records to CSV")
     bench.add_argument("--config", help="flat key=value config file")
-    bench.add_argument("--data", help="dataset path or synthetic recipe")
+    # dests are the config keys, so the flags given override the config file
+    bench.add_argument("--data", dest="dataset", help="dataset path or synthetic recipe")
     bench.add_argument("--label")
     bench.add_argument("--methods", help="comma-separated method list")
     bench.add_argument("--k", type=int)
@@ -300,26 +272,20 @@ def build_parser() -> _Parser:
     bench.add_argument("--eps", type=float)
     bench.add_argument("--q-max", dest="q_max", type=int)
     bench.add_argument("--trials", type=int)
-    bench.add_argument("--seed", type=int)
-    bench.add_argument("--sketch", choices=list(sketching.SKETCH_KINDS))
+    bench.add_argument("--seed", dest="root_seed", type=int)
+    bench.add_argument("--sketch", dest="sketch_kind", choices=list(sketching.SKETCH_KINDS))
     bench.add_argument("--s", type=int)
-    bench.add_argument("--out")
+    bench.add_argument("--out", dest="output")
     bench.add_argument("--workers", type=int)
     bench.add_argument("--verbose", action="store_true")
     bench.set_defaults(func=_cmd_bench)
 
-    verify = sub.add_parser("verify", help="certify regularized spectral approximation")
-    verify.add_argument("--data", required=True, help="dataset path or synthetic recipe")
+    verify = sub.add_parser("verify", parents=[sized], help="certify regularized spectral approximation")
     verify.add_argument("--sketch", default="gaussian", choices=list(sketching.SKETCH_KINDS))
-    verify.add_argument("--k", type=int, required=True)
-    verify.add_argument("--eps", type=float, default=0.5)
-    verify.add_argument("--delta", type=float, default=0.1)
-    verify.add_argument("--c", type=float, default=2.0)
     verify.add_argument("--r", type=int, help="explicit sketch size (overrides sizing rule)")
     verify.add_argument("--s", type=int, default=1)
     verify.add_argument("--trials", type=int, default=50)
     verify.add_argument("--threshold", type=float, default=0.9)
-    verify.add_argument("--seed", type=int, default=0)
     verify.set_defaults(func=_cmd_verify)
 
     return parser

@@ -1,6 +1,7 @@
 """Matrix ingestion, synthetic generators, binary caching, results CSV.
 
-File formats:
+:func:`load_matrix` is the one way to load a matrix: a synthetic recipe,
+a ``.skpw`` file or a MatrixMarket file.  File formats:
 
 * MatrixMarket (``array`` and ``coordinate``, real, general or symmetric),
   with line-numbered parse errors.
@@ -12,7 +13,9 @@ File formats:
 
 Synthetic generators rotate a prescribed spectrum by Haar-random
 orthonormal factors, so the singular values of the output are known by
-construction.
+construction.  :data:`RECIPES` gives each kind's options, their defaults
+and its prescribed spectrum, for the generators, the loader and
+``skpower gen`` alike.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import csv
 import struct
 from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,8 +35,37 @@ _VERSION = 1
 
 
 # ---------------------------------------------------------------------------
-# synthetic generators
+# synthetic generators and recipes
 # ---------------------------------------------------------------------------
+
+
+class Recipe(NamedTuple):
+    """A synthetic matrix kind: its generator, its options and the spectrum it prescribes."""
+
+    generate: Callable[..., np.ndarray]  # (m, n, **options) -> the matrix
+    options: dict  # option -> default; the default's type parses a recipe's value
+    spectrum: Callable[..., np.ndarray]  # (m, n, **options) -> the singular values the generator rotates
+
+
+# generators are looked up at call time, so a wrapper installed on gen_polydecay sees the call
+RECIPES = {
+    "polydecay": Recipe(
+        lambda m, n, seed: gen_polydecay(m, n, seed),
+        {"seed": 0},
+        lambda m, n, **_: max(m, n) / np.arange(1.0, min(m, n) + 1.0),
+    ),
+    "expdecay": Recipe(
+        lambda m, n, rate, seed: gen_expdecay(m, n, rate, seed),
+        {"rate": 0.1, "seed": 0},
+        lambda m, n, rate, **_: np.exp(-rate * np.arange(min(m, n), dtype=np.float64)),
+    ),
+    # the spectrum of the rank-r part; noise > 0 adds Gaussian entries on top
+    "lowrank": Recipe(
+        lambda m, n, rank, noise, seed: gen_lowrank_plus_noise(m, n, rank, noise, seed),
+        {"rank": 10, "noise": 0.0, "seed": 0},
+        lambda m, n, rank, **_: np.ones(rank),
+    ),
+}
 
 
 def _haar_columns(rows: int, cols: int, seed: int) -> np.ndarray:
@@ -47,6 +80,8 @@ def _haar_columns(rows: int, cols: int, seed: int) -> np.ndarray:
 
 
 def _rotate_spectrum(m: int, n: int, spectrum: np.ndarray, seed: int) -> np.ndarray:
+    if m < 1 or n < 1:
+        raise ValueError("dimensions must be >= 1")
     u = _haar_columns(m, len(spectrum), substream(seed, 0))
     v = _haar_columns(n, len(spectrum), substream(seed, 1))
     return (u * spectrum) @ v.T
@@ -54,37 +89,56 @@ def _rotate_spectrum(m: int, n: int, spectrum: np.ndarray, seed: int) -> np.ndar
 
 def gen_polydecay(m: int, n: int, seed: int) -> np.ndarray:
     """Random m-by-n matrix with singular values max(m, n)/i, i = 1..min(m, n)."""
-    if m < 1 or n < 1:
-        raise ValueError("dimensions must be >= 1")
-    p = min(m, n)
-    spectrum = max(m, n) / np.arange(1.0, p + 1.0)
-    return _rotate_spectrum(m, n, spectrum, seed)
+    return _rotate_spectrum(m, n, RECIPES["polydecay"].spectrum(m, n), seed)
 
 
 def gen_expdecay(m: int, n: int, rate: float, seed: int) -> np.ndarray:
     """Random m-by-n matrix with singular values exp(-rate * (i - 1))."""
-    if m < 1 or n < 1:
-        raise ValueError("dimensions must be >= 1")
     if rate < 0.0:
         raise ValueError("rate must be >= 0")
-    p = min(m, n)
-    spectrum = np.exp(-rate * np.arange(p, dtype=np.float64))
-    return _rotate_spectrum(m, n, spectrum, seed)
+    return _rotate_spectrum(m, n, RECIPES["expdecay"].spectrum(m, n, rate), seed)
 
 
 def gen_lowrank_plus_noise(m: int, n: int, r: int, noise: float, seed: int) -> np.ndarray:
     """Rank-r matrix with unit singular values plus ``noise`` * Gaussian entries."""
-    if m < 1 or n < 1:
-        raise ValueError("dimensions must be >= 1")
     if not 1 <= r <= min(m, n):
         raise ValueError(f"need 1 <= r <= min(m, n), got r={r}")
     if noise < 0.0:
         raise ValueError("noise must be >= 0")
-    base = _rotate_spectrum(m, n, np.ones(r), seed)
+    base = _rotate_spectrum(m, n, RECIPES["lowrank"].spectrum(m, n, r), seed)
     if noise > 0.0:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=[substream(seed, 2)]))
         base = base + noise * rng.standard_normal((m, n))
     return base
+
+
+def load_matrix(source: str) -> np.ndarray:
+    """Load ``source``: a synthetic recipe, else a ``.skpw`` file, else a MatrixMarket file.
+
+    A recipe is ``kind:MxN`` followed by ``:key=value`` options of that
+    kind, e.g. ``expdecay:300x100:rate=0.05:seed=1``.  Options not given
+    take their :data:`RECIPES` defaults; any other segment raises.
+    """
+    kind, _, rest = source.partition(":")
+    if kind in RECIPES:
+        dims, *parts = rest.split(":")
+        m, _, n = dims.partition("x")
+        if not (m.isdigit() and n.isdigit()):
+            raise ValueError(f"{source}: expected {kind}:MxN[:key=value...]")
+        defaults = RECIPES[kind].options
+        options = {}
+        for part in parts:
+            key, sep, value = part.partition("=")
+            if not sep or key not in defaults:
+                raise ValueError(
+                    f"{source}: bad {kind} option {part!r}; expected key=value with key one of "
+                    f"{', '.join(defaults)}"
+                )
+            options[key] = type(defaults[key])(value)
+        return RECIPES[kind].generate(int(m), int(n), **{**defaults, **options})
+    if source.endswith(".skpw"):
+        return read_binary(source)
+    return read_matrix_market(source)
 
 
 # ---------------------------------------------------------------------------

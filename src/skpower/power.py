@@ -20,7 +20,7 @@ the algorithm time of each step.  A compressing sketch (r1 < n) is powered
 on a small r1 x r1 core, ``(A S)^T (A S)`` or, for Nystrom, ``S^T A S``: after
 one Gram, a step costs r1^2 r2 multiply-adds instead of the 2 m r1 r2 of
 the pair ``A S ((A S)^T Y)``, which only the identity-sketch baselines
-still run (:func:`power_iterate`).  A method of ``_METHODS`` (the five names
+still step (see :func:`power_iterate`).  A method of ``_METHODS`` (the five names
 the library, ``skpower run`` and ``skpower bench`` share) says what the
 engine powers and how its factors are assembled.  The public functions
 advance the engine to ``spec.q`` and assemble; the benchmark steps it one
@@ -144,8 +144,8 @@ def _core_step(core: np.ndarray, z: np.ndarray, stabilized: bool) -> np.ndarray:
 def power_iterate(atil, omega, q: int, stabilized: bool = True) -> np.ndarray:
     """Compute a block with the column span of ``(atil @ atil.T)^q @ atil @ omega``.
 
-    This is the textbook iteration, and the engine's path for an identity
-    primary sketch (``atil = A``), where a Gram core would be n x n.  With
+    This is the textbook iteration, the pair the engine steps for an
+    identity primary sketch (``atil = A``), whose Gram would be n x n.  With
     ``stabilized=False`` the product is returned literally, built by
     alternating right/left multiplications (the Gram matrix is never
     formed).  With ``stabilized=True`` the block is re-based on a
@@ -201,8 +201,8 @@ def _iterates(a: np.ndarray, spec: RangeFinderSpec, entry: _Method):
     costs r1^2 r2 multiply-adds whatever m is, and its stabilization runs on
     r1 x r2 blocks; the block ``Y = atil @ z`` is formed at each yield.
     Nystrom steps the same way on its core ``S.T A S`` and needs no Y.  An
-    identity sketch keeps the textbook pair ``atil (atil.T y)`` of
-    :func:`power_iterate`, whose Gram would be n x n.
+    identity sketch steps the textbook pair ``atil (atil.T y)`` of
+    :func:`power_iterate` from ``atil @ Omega``; its Gram would be n x n.
 
     ``seconds`` is the algorithm time since the previous yield.  The first
     covers the primary sketch build and apply, the start-block draw and the
@@ -229,10 +229,10 @@ def _iterates(a: np.ndarray, spec: RangeFinderSpec, entry: _Method):
     omega = _draw_omega(spec.r1, spec.r2, substream(spec.seed, 1))
     if entry.core or spec.r1 < n:
         state.z = omega
-        for _ in range(spec.q):
-            state.step(spec.stabilized)
     else:
-        state.y = power_iterate(state.atil, omega, spec.q, stabilized=spec.stabilized)
+        state.y = state.atil @ omega
+    for _ in range(spec.q):
+        state.step(spec.stabilized)
     expose = state.z is not None and not entry.core  # Y = atil @ z at every yield
     if expose:
         state.y = state.atil @ state.z

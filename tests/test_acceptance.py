@@ -23,7 +23,7 @@ from conftest import (
     GAUSSIAN_BLOCK_MULTIPLE,
     psd_sqrt,
 )
-from skpower.bench import BenchConfig, dataset_spec, run_benchmark
+from skpower.bench import BenchConfig, run_benchmark
 from skpower.data_io import gen_polydecay
 from skpower.diagnostics import (
     BoundReport,
@@ -227,7 +227,7 @@ def test_criterion_7_predicted_error_bound_with_constants():
 
 def test_criterion_8_error_vs_time_crossover():
     cfg = BenchConfig(
-        dataset=dataset_spec("polydecay:4000x2000:seed=1"),
+        dataset="polydecay:4000x2000:seed=1",
         methods=["sketched-randsvd", "classical-randsvd"],
         k=40,
         l_values=[400],

@@ -10,12 +10,11 @@ from skpower.bench import (
     METHODS,
     BenchConfig,
     config_from_mapping,
-    dataset_spec,
     parse_config_file,
     replay_record,
     run_benchmark,
 )
-from skpower.data_io import read_records_csv, write_binary
+from skpower.data_io import load_matrix, read_records_csv, write_binary
 from skpower.linalg import pinv
 from skpower.power import (
     RangeFinderSpec,
@@ -28,7 +27,7 @@ from skpower.power import (
 
 def small_config(tmp_path, **overrides):
     params = dict(
-        dataset=dataset_spec("polydecay:120x80:seed=3"),
+        dataset="polydecay:120x80:seed=3",
         methods=["sketched-randsvd", "classical-randsvd"],
         k=8,
         l_values=[24],
@@ -118,7 +117,7 @@ class TestRun:
             methods=["sketched-randsvd", "lowrank-factorize", "lowrank-factorize-unsketched"],
         )
         records = run_benchmark(cfg)
-        a = cfg.dataset.load()
+        a = load_matrix(cfg.dataset)
         for rec in records[::5]:
             spec, frob, rel = replay_record(a, rec, sketch_kind=cfg.sketch_kind)
             assert abs(spec - rec.spec_err) <= 1e-10 * max(rec.spec_err, 1.0)
@@ -131,7 +130,7 @@ class TestRun:
         write_binary(psd, path)
         cfg = small_config(
             tmp_path,
-            dataset=dataset_spec(str(path)),
+            dataset=str(path),
             methods=["nystrom"],
             k=5,
             l_values=[15],
@@ -150,7 +149,7 @@ class TestRun:
         path = tmp_path / "indef.skpw"
         write_binary(sym_indefinite, path)
         cfg = small_config(
-            tmp_path, dataset=dataset_spec(str(path)), methods=["nystrom"], k=1,
+            tmp_path, dataset=str(path), methods=["nystrom"], k=1,
             l_values=[1], q_max=0, trials=1,
         )
         with pytest.raises(ValueError, match="not psd"):
@@ -225,7 +224,7 @@ def test_bench_row_factors_equal_library_factors(tmp_path, monkeypatch, method, 
     path = tmp_path / "psd.skpw"
     write_binary(psd_polydecay(60, seed=4), path)
     cfg = small_config(
-        tmp_path, dataset=dataset_spec(str(path)), methods=[method], k=5, l_values=[15],
+        tmp_path, dataset=str(path), methods=[method], k=5, l_values=[15],
         q_max=q, trials=1,
     )
     seen = []
@@ -238,7 +237,7 @@ def test_bench_row_factors_equal_library_factors(tmp_path, monkeypatch, method, 
     monkeypatch.setattr(bench_mod, "estimated_approximation_residuals", capture)
     records = run_benchmark(cfg)
     assert [r.q_iter for r in records] == list(range(q + 1))
-    expected = _library_factors(cfg.dataset.load(), method, 5, 15, q, records[-1].seed)
+    expected = _library_factors(load_matrix(cfg.dataset), method, 5, 15, q, records[-1].seed)
     assert np.array_equal(seen[-1], expected)
 
 
@@ -246,11 +245,11 @@ def test_replay_record_regenerates_classical_and_nystrom_rows(tmp_path):
     path = tmp_path / "psd.skpw"
     write_binary(psd_polydecay(60, seed=9), path)
     cfg = small_config(
-        tmp_path, dataset=dataset_spec(str(path)), methods=["classical-randsvd", "nystrom"],
+        tmp_path, dataset=str(path), methods=["classical-randsvd", "nystrom"],
         k=5, l_values=[15], q_max=3,
     )
     records = run_benchmark(cfg)
-    a = cfg.dataset.load()
+    a = load_matrix(cfg.dataset)
     assert {r.method for r in records} == {"classical-randsvd", "nystrom"}
     for rec in records:
         assert replay_record(a, rec, sketch_kind=cfg.sketch_kind) == (

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from skpower.bench import dataset_spec
+from conftest import psd_polydecay
 from skpower.cli import main
-from skpower.data_io import read_binary, read_records_csv, write_binary
+from skpower.data_io import load_matrix, read_binary, read_records_csv, write_binary
 from skpower.diagnostics import projection_residuals
 from skpower.power import choose_q, range_finder_classical
 
@@ -48,6 +48,32 @@ class TestGen:
         run_cli(capsys, "gen", "polydecay", "--m", "40", "--n", "20", "--seed", "3", "--out", str(path))
         sv = sla.svdvals(read_binary(path))
         np.testing.assert_allclose(sv, 40.0 / np.arange(1.0, 21.0), rtol=1e-8)
+
+    @pytest.mark.parametrize(
+        "kind, options",
+        [("polydecay", []), ("expdecay", ["--rate", "0.2"]), ("lowrank", ["--rank", "4", "--noise", "0"])],
+    )
+    def test_printed_spectrum_is_the_written_one(self, tmp_path, capsys, kind, options):
+        path = tmp_path / "g.skpw"
+        code, out, _ = run_cli(
+            capsys, "gen", kind, "--m", "30", "--n", "20", "--seed", "4", *options, "--out", str(path)
+        )
+        assert code == 0
+        values = parse_kv(out)
+        sv = np.linalg.svd(read_binary(path), compute_uv=False)
+        top = [float(v) for v in values["prescribed_top_singular_values"].strip("[]").split(", ") if v != "..."]
+        np.testing.assert_allclose(top, sv[: len(top)], rtol=1e-10)
+        nonzero = sv[sv > 1e-10 * sv[0]]  # lowrank prescribes its rank-r part
+        np.testing.assert_allclose(float(values["prescribed_sigma_min"]), nonzero[-1], rtol=1e-10)
+
+    def test_recipe_loads_the_generated_file(self, tmp_path, capsys):
+        path = tmp_path / "e.skpw"
+        code, _, _ = run_cli(
+            capsys, "gen", "expdecay", "--m", "30", "--n", "20", "--rate", "0.2", "--seed", "4",
+            "--out", str(path),
+        )
+        assert code == 0
+        np.testing.assert_array_equal(load_matrix("expdecay:30x20:rate=0.2:seed=4"), read_binary(path))
 
     def test_usage_error_exit_code(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "gen", "polydecay", "--m", "10")
@@ -142,13 +168,37 @@ class TestRun:
         values = parse_kv(out)
         # no primary sketch is applied: the method runs on all n columns
         assert (values["sketch"], values["r1"], values["s"]) == ("identity", "30", "1")
-        a = dataset_spec(recipe).load()
+        a = load_matrix(recipe)
         q_basis = range_finder_classical(a, 4, 8, int(values["q"]), seed=6)
         spec_err, frob_err = projection_residuals(a, q_basis)
         assert values["spec_err"] == f"{spec_err:.12g}"
         assert values["frob_err"] == f"{frob_err:.12g}"
         u = read_binary(prefix + ".U.skpw")
         np.testing.assert_allclose(u @ (u.T @ a), q_basis @ (q_basis.T @ a), atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "method, assembly",
+        [
+            ("classical-randsvd", "basis"),
+            ("sketched-randsvd", "basis"),
+            ("lowrank-factorize", "regression"),
+            ("lowrank-factorize-unsketched", "regression"),
+            ("nystrom", "contract"),
+        ],
+    )
+    def test_reports_the_engine_stage_timings(self, tmp_path, capsys, method, assembly):
+        path = tmp_path / "psd.skpw"
+        write_binary(psd_polydecay(40, seed=3), path)
+        code, out, _ = run_cli(
+            capsys, "run", "--data", str(path), "--method", method,
+            "--k", "4", "--l", "8", "--eps", "0.5", "--seed", "6",
+        )
+        assert code == 0
+        stages = {key for key in parse_kv(out) if key.startswith("stage_")}
+        expected = {"stage_sketch_ms", "stage_power_ms", f"stage_{assembly}_ms"}
+        if method.endswith("randsvd"):
+            expected.add("stage_svd_assembly_ms")
+        assert stages == expected
 
     def test_nystrom_run(self, tmp_path, capsys):
         rng = np.random.default_rng(5)

@@ -3,10 +3,12 @@ import pytest
 import scipy.linalg as sla
 
 from skpower.data_io import (
+    RECIPES,
     TrialRecord,
     gen_expdecay,
     gen_lowrank_plus_noise,
     gen_polydecay,
+    load_matrix,
     read_binary,
     read_matrix_market,
     read_records_csv,
@@ -62,6 +64,38 @@ class TestGenerators:
             gen_polydecay(0, 5, seed=0)
         with pytest.raises(ValueError):
             gen_lowrank_plus_noise(10, 5, r=6, noise=0.0, seed=0)
+
+
+class TestLoadMatrix:
+    def test_recipes_run_their_generators(self):
+        np.testing.assert_array_equal(load_matrix("polydecay:20x10:seed=4"), gen_polydecay(20, 10, 4))
+        np.testing.assert_array_equal(load_matrix("expdecay:20x10"), gen_expdecay(20, 10, 0.1, 0))
+        np.testing.assert_array_equal(
+            load_matrix("lowrank:20x10:noise=0.01:rank=3:seed=2"),
+            gen_lowrank_plus_noise(20, 10, 3, 0.01, 2),
+        )
+
+    def test_files_by_extension(self, tmp_path):
+        a = np.random.default_rng(11).standard_normal((6, 4))
+        write_binary(a, tmp_path / "a.skpw")
+        write_matrix_market(a, tmp_path / "a.mtx")
+        np.testing.assert_array_equal(load_matrix(str(tmp_path / "a.skpw")), a)
+        np.testing.assert_array_equal(load_matrix(str(tmp_path / "a.mtx")), a)
+
+    @pytest.mark.parametrize(
+        "source, segment",
+        [
+            ("polydecay:6x4:sed=7", "sed=7"),  # a misspelled key
+            ("polydecay:6x4:seed=0:rate=5", "rate=5"),  # a key of another kind
+            ("expdecay:6x4:seed", "seed"),  # a segment with no '='
+        ],
+    )
+    def test_bad_recipe_option_rejected(self, source, segment):
+        kind = source.split(":")[0]
+        with pytest.raises(ValueError) as info:
+            load_matrix(source)
+        assert repr(segment) in str(info.value)
+        assert ", ".join(RECIPES[kind].options) in str(info.value)
 
 
 class TestMatrixMarket:
