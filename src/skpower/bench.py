@@ -9,11 +9,13 @@ is emitted after each iterate.  Mirroring the usual presentation of such
 comparisons, benchmark runs use a primary sketch of size ``r1 = l`` and a
 Gaussian start block of size ``r2 = k``.
 
-``time_ms`` is the cumulative algorithm time the engine reports: sketch
-construction and the sketched product (attributed to the q = 0 point), the
-start-block draw, and each power step with its in-loop stabilization when
-enabled (one CholeskyQR pass, or the full orthonormalization when that pass
-leaves the block too far from orthonormal).  On a compressing sketch a step
+``time_ms`` is the cumulative algorithm time the engine records in its
+``elapsed``, the ``sketch`` plus the ``power`` stage that ``skpower run``
+prints: sketch construction and the sketched product (attributed to the
+q = 0 point), the start-block draw, and each power step with its in-loop
+stabilization when enabled (one CholeskyQR pass, or the full
+orthonormalization when that pass leaves the block too far from
+orthonormal).  On a compressing sketch a step
 is the r1 x r1 core product (the Gram ``(A S)^T (A S)`` formed at the
 first) plus the block ``Y = A S z``; on the identity sketch of a classical
 baseline it is the pair ``A (A^T Y)``.
@@ -27,8 +29,8 @@ would only blur the comparison.
 Error metrics go through :mod:`skpower.diagnostics`: the spectral residual
 is estimated by a seeded block Krylov iteration (a lower bound, stopped at
 relative change 1e-6), the Frobenius residual is exact, and ``rel_err`` is
-residual / sigma_{k+1} - 1 against the full-SVD profile of the dataset
-(computed once, untimed).
+:func:`~skpower.diagnostics.relative_error`, residual / sigma_{k+1} - 1
+against the full-SVD profile of the dataset (computed once, untimed).
 
 Every row is regenerable: :func:`replay_record` reruns the row's
 (method, parameters, seed, q) combination and returns the same errors.
@@ -36,7 +38,6 @@ Every row is regenerable: :func:`replay_record` reruns the row's
 
 from __future__ import annotations
 
-import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -48,6 +49,7 @@ from .diagnostics import (
     SpectralProfile,
     estimated_approximation_residuals,
     estimated_projection_residuals,
+    relative_error,
 )
 from .linalg import orthonormalize, pinv  # not called here; bindings the perfbench tracer wraps
 from .power import _METHODS, RangeFinderSpec, _iterates, _method_spec
@@ -176,7 +178,7 @@ def _errors(a, entry, state, profile: SpectralProfile, seed: int, k: int):
         spec, frob = estimated_projection_residuals(a, factors["Q"], seed=err_seed)
     else:
         spec, frob = estimated_approximation_residuals(a, entry.approximation(factors), seed=err_seed)
-    return spec, frob, spec / profile.values[k] - 1.0
+    return spec, frob, relative_error(spec, profile, k)
 
 
 def _run_series(a, profile, cfg: BenchConfig, method: str, l: int, trial: int, seed: int):
@@ -187,9 +189,7 @@ def _run_series(a, profile, cfg: BenchConfig, method: str, l: int, trial: int, s
     entry = _METHODS[method]
     countsketch = cfg.sketch_kind == "countsketch" and entry.applies_sketch
     rows = []
-    cumulative = 0.0
-    for state, seconds in islice(_iterates(a, spec, entry), cfg.q_max_for(method) + 1):
-        cumulative += seconds
+    for state in islice(_iterates(a, spec, entry), cfg.q_max_for(method) + 1):
         spec_err, frob, rel = _errors(a, entry, state, profile, seed, cfg.k)
         rows.append(
             TrialRecord(
@@ -206,7 +206,7 @@ def _run_series(a, profile, cfg: BenchConfig, method: str, l: int, trial: int, s
                 eps=cfg.eps,
                 seed=seed,
                 trial=trial,
-                time_ms=cumulative * 1e3,
+                time_ms=1e3 * (state.elapsed["sketch"] + state.elapsed["power"]),
                 spec_err=spec_err,
                 frob_err=frob,
                 rel_err=rel,
@@ -227,7 +227,7 @@ def replay_record(a, rec: TrialRecord, sketch_kind: str = "countsketch", stabili
         seed=rec.seed, stabilized=stabilized, s=rec.s if rec.s else 1,
     )
     entry = _METHODS[rec.method]
-    state, _ = next(_iterates(a, spec, entry))
+    state = next(_iterates(a, spec, entry))
     return _errors(a, entry, state, profile, rec.seed, rec.k)
 
 
@@ -235,53 +235,32 @@ def run_benchmark(cfg: BenchConfig, csv_path: str | None = None, progress=None) 
     """Run the configured benchmark; stream rows to CSV as they are produced.
 
     With ``workers > 1`` the independent (method, l, trial) series run in a
-    thread pool (BLAS releases the GIL); rows are then appended in
-    completion order, so keep ``workers = 1`` for timing runs and
-    deterministic files.  Partial results are flushed if a series fails.
+    thread pool (BLAS releases the GIL); rows are still written in task
+    order, the order of ``workers = 1``, but keep ``workers = 1`` for
+    timing runs.  Rows written before a failing series stay in the file.
+    ``progress`` is called with the last row of each series once it is written.
     """
     cfg.validate()
-    path = csv_path or cfg.output_path
     a = data_io.load_matrix(cfg.dataset)
     for check in {_METHODS[method].check for method in cfg.methods} - {None}:
         check(a)
     profile = SpectralProfile.from_matrix(a)
-    if profile.values[cfg.k] <= 0.0:
-        raise ValueError(f"sigma_(k+1) vanishes for k={cfg.k}; relative error undefined")
+    relative_error(0.0, profile, cfg.k)  # fail before the first series if sigma_(k+1) is missing or zero
 
-    tasks = []
-    for mi, method in enumerate(cfg.methods):
-        for li, l in enumerate(cfg.l_values):
-            for trial in range(cfg.trials):
-                seed = substream(cfg.root_seed, mi, li, trial)
-                tasks.append((method, l, trial, seed))
+    tasks = [
+        (method, l, trial, substream(cfg.root_seed, mi, li, trial))
+        for mi, method in enumerate(cfg.methods)
+        for li, l in enumerate(cfg.l_values)
+        for trial in range(cfg.trials)
+    ]
 
-    records: list[TrialRecord] = []
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(data_io._RECORD_FIELDS)
-        fh.flush()
-
-        def emit(rows):
-            for rec in rows:
-                writer.writerow(data_io._format_record(rec))
-            fh.flush()
-            records.extend(rows)
+    def rows(results):
+        for series in results:
+            yield from series
             if progress is not None:
-                progress(rows[-1])
+                progress(series[-1])
 
-        try:
-            if cfg.workers == 1:
-                for method, l, trial, seed in tasks:
-                    emit(_run_series(a, profile, cfg, method, l, trial, seed))
-            else:
-                with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                    futures = [
-                        pool.submit(_run_series, a, profile, cfg, method, l, trial, seed)
-                        for method, l, trial, seed in tasks
-                    ]
-                    for future in futures:
-                        emit(future.result())
-        except Exception:
-            fh.flush()
-            raise
-    return records
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        run = lambda task: _run_series(a, profile, cfg, *task)
+        results = pool.map(run, tasks) if cfg.workers > 1 else map(run, tasks)
+        return data_io.write_records_csv(rows(results), csv_path or cfg.output_path)

@@ -47,8 +47,12 @@ def _print_kv(**kwargs) -> None:
 
 def _cmd_gen(args) -> int:
     recipe = data_io.RECIPES[args.kind]
-    options = {key: getattr(args, key) for key in recipe.options}
-    data_io.write_binary(recipe.generate(args.m, args.n, **options), args.out)
+    # the option flags given, as a recipe: the loader rejects a flag the kind does not take
+    flags = {key: getattr(args, key) for other in data_io.RECIPES.values() for key in other.options}
+    given = {key: value for key, value in flags.items() if value is not None}
+    source = ":".join([f"{args.kind}:{args.m}x{args.n}", *(f"{key}={value}" for key, value in given.items())])
+    data_io.write_binary(data_io.load_matrix(source), args.out)
+    options = {**recipe.options, **given}
     spectrum = recipe.spectrum(args.m, args.n, **options)
     top = ", ".join(f"{v:.12g}" for v in spectrum[:5])
     _print_kv(
@@ -58,7 +62,8 @@ def _cmd_gen(args) -> int:
         n=args.n,
         **options,
         prescribed_top_singular_values=f"[{top}{', ...' if len(spectrum) > 5 else ''}]",
-        prescribed_sigma_min=float(spectrum[-1]),
+        # a kind that prescribes fewer than min(m, n) values leaves the rest zero
+        prescribed_sigma_min=float(spectrum[-1]) if len(spectrum) == min(args.m, args.n) else 0.0,
     )
     return EXIT_OK
 
@@ -122,10 +127,10 @@ def _cmd_run(args) -> int:
         saved = {"U": u, "sigma": sigma.reshape(1, -1), "V": v}
     else:
         spec_err, frob_err = diagnostics.approximation_residuals(a, entry.approximation(saved))
-    if profile.values[args.k] > 0.0:
+    try:
         rel_err = diagnostics.relative_error(spec_err, profile, args.k)
-    else:
-        rel_err = float("nan")  # exactly rank-k input: sigma_{k+1} vanishes
+    except ValueError:  # no positive sigma_(k+1): k = min(m, n), or an exactly rank-k input
+        rel_err = float("nan")
 
     _print_kv(
         method=args.method,
@@ -237,7 +242,7 @@ def build_parser() -> _Parser:
     options = {key: default for recipe in data_io.RECIPES.values() for key, default in recipe.options.items()}
     for key, default in options.items():
         kinds = [kind for kind, recipe in data_io.RECIPES.items() if key in recipe.options]
-        gen.add_argument(f"--{key}", type=type(default), default=default, help=f"option of {', '.join(kinds)}")
+        gen.add_argument(f"--{key}", type=type(default), help=f"option of {', '.join(kinds)} [{default}]")
     gen.add_argument("--out", required=True, help="output .skpw path")
     gen.set_defaults(func=_cmd_gen)
 

@@ -8,8 +8,9 @@ a ``.skpw`` file or a MatrixMarket file.  File formats:
 * ``.skpw`` binary cache: magic ``SKPW``, one version byte (1), rows and
   cols as unsigned 64-bit little-endian, then rows*cols float64
   little-endian values in row-major order.  Round-trips are bit-exact.
-* Trial-record CSV with a fixed column order; float fields are written
-  with ``repr`` so round-trips are lossless.
+* Trial-record CSV: one column per :class:`TrialRecord` field, in field
+  order, typed by its annotation; floats are written as their shortest
+  round-trip ``repr``, so round-trips are lossless.
 
 Synthetic generators rotate a prescribed spectrum by Haar-random
 orthonormal factors, so the singular values of the output are known by
@@ -22,8 +23,8 @@ from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass, fields
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -342,8 +343,8 @@ class TrialRecord:
     rel_err: float
 
 
-_RECORD_FIELDS = [f.name for f in fields(TrialRecord)]
-_INT_FIELDS = {"m", "n", "k", "l", "r1", "r2", "s", "q_iter", "seed", "trial"}
+_RECORD_TYPES = get_type_hints(TrialRecord)  # column -> str, int or float, in column order
+_RECORD_FIELDS = list(_RECORD_TYPES)
 
 
 def _record_key(rec: TrialRecord) -> tuple:
@@ -352,26 +353,27 @@ def _record_key(rec: TrialRecord) -> tuple:
     )
 
 
-def write_records_csv(records, path) -> None:
-    """Write trial records with the canonical column order (lossless floats)."""
+def write_records_csv(records, path) -> list[TrialRecord]:
+    """Write trial records with the canonical column order (lossless floats); returns them.
+
+    Each row is flushed as ``records`` yields it, so the rows written
+    before a failing iterable raises stay in the file.
+    """
+    written = []
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(_RECORD_FIELDS)
+        fh.flush()
         for rec in records:
-            writer.writerow(_format_record(rec))
+            writer.writerow(_format_record(rec))  # looked up at each call, so a wrapper on it sees the call
+            fh.flush()
+            written.append(rec)
+    return written
 
 
 def _format_record(rec: TrialRecord) -> list[str]:
-    row = []
-    for name in _RECORD_FIELDS:
-        value = getattr(rec, name)
-        if name in ("method", "dataset"):
-            row.append(str(value))
-        elif name in _INT_FIELDS:
-            row.append(str(int(value)))
-        else:
-            row.append(repr(float(value)))
-    return row
+    # str of a float is its shortest round-trip repr
+    return [str(kind(getattr(rec, name))) for name, kind in _RECORD_TYPES.items()]
 
 
 def read_records_csv(path) -> list[TrialRecord]:
@@ -388,15 +390,8 @@ def read_records_csv(path) -> list[TrialRecord]:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(_RECORD_FIELDS):
                 raise ValueError(f"{path}:{lineno}: expected {len(_RECORD_FIELDS)} fields")
-            kwargs = {}
-            for name, tok in zip(_RECORD_FIELDS, row):
-                if name in ("method", "dataset"):
-                    kwargs[name] = tok
-                elif name in _INT_FIELDS:
-                    kwargs[name] = int(tok)
-                else:
-                    kwargs[name] = float(tok)
-            records.append(TrialRecord(**kwargs))
+            values = zip(_RECORD_TYPES.items(), row)
+            records.append(TrialRecord(**{name: kind(tok) for (name, kind), tok in values}))
     last_time: dict[tuple, float] = {}
     for rec in records:
         key = _record_key(rec)

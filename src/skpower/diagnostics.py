@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .linalg import as_matrix, frobenius_norm
+from .linalg import as_matrix, check_orthonormal, frobenius_norm, psd_eigenvalues
 from .power import choose_q
 from .sketching import _rng
 
@@ -59,13 +59,9 @@ class SpectralProfile:
 
     @classmethod
     def from_psd(cls, a, tol: float = 1e-8) -> "SpectralProfile":
-        """Eigenvalue profile of a symmetric psd matrix, clamped at zero."""
+        """Eigenvalue profile of a symmetric psd matrix, clamped at zero (see ``psd_eigenvalues``)."""
         a = as_matrix(a, "a")
-        w = np.linalg.eigvalsh((a + a.T) / 2.0)
-        norm = np.abs(w).max()
-        if norm > 0.0 and w.min() < -tol * norm:
-            raise ValueError(f"matrix is not psd: min eigenvalue {w.min():.3e}")
-        return cls(values=np.clip(w[::-1], 0.0, None), shape=a.shape)
+        return cls(values=np.clip(psd_eigenvalues(a, tol)[::-1], 0.0, None), shape=a.shape)
 
 
 @dataclass
@@ -154,18 +150,10 @@ def certify_spectral_approx(a, a_sketched, lam: float, eps: float) -> BoundRepor
     )
 
 
-def _check_orthonormal(q_basis, tol: float = 1e-6) -> np.ndarray:
-    q_basis = as_matrix(q_basis, "q_basis")
-    dev = np.abs(q_basis.T @ q_basis - np.eye(q_basis.shape[1])).max()
-    if dev > tol:
-        raise ValueError(f"Q is not orthonormal (deviation {dev:.3e})")
-    return q_basis
-
-
 def projection_residuals(a, q_basis) -> tuple[float, float]:
     """Exact (spectral, Frobenius) norms of ``a - Q Q.T a``."""
     a = as_matrix(a, "a")
-    q_basis = _check_orthonormal(q_basis)
+    q_basis = check_orthonormal(q_basis)
     if q_basis.shape[0] != a.shape[0]:
         raise ValueError("Q and a must have the same number of rows")
     resid = a - q_basis @ (q_basis.T @ a)
@@ -261,7 +249,7 @@ def estimated_projection_residuals(
     relative tolerance ``tol``, a lower bound) instead of a full SVD.
     """
     a = as_matrix(a, "a")
-    q_basis = _check_orthonormal(q_basis)
+    q_basis = check_orthonormal(q_basis)
     if q_basis.shape[0] != a.shape[0]:
         raise ValueError("Q and a must have the same number of rows")
     resid = a - q_basis @ (q_basis.T @ a)
@@ -428,12 +416,12 @@ def powered_tail_report(
 
 
 def relative_error(residual_spectral: float, profile: SpectralProfile, k: int) -> float:
-    """Relative spectral error ``residual / v[k+1] - 1`` of a rank-k approximation."""
+    """Relative spectral error ``residual / v[k+1] - 1``; raises when v[k+1] is missing or zero."""
     if not 1 <= k < len(profile):
-        raise ValueError(f"k must be in [1, {len(profile) - 1}], got {k}")
+        raise ValueError(f"rel_err needs sigma_(k+1): k must be in [1, {len(profile) - 1}], got {k}")
     sigma = float(profile.values[k])
     if sigma <= 0.0:
-        raise ValueError("reference singular value sigma_{k+1} is zero")
+        raise ValueError(f"reference singular value sigma_(k+1) is zero for k={k}")
     return float(residual_spectral) / sigma - 1.0
 
 

@@ -3,6 +3,8 @@
 Everything operates on 2-D float64 numpy arrays.  ``as_matrix`` is the single
 entry point that enforces the operand contract (two-dimensional, non-empty,
 all entries finite); public operations validate their inputs through it.
+The two structural checks live next to it: ``check_orthonormal`` for a basis
+and ``psd_eigenvalues`` for a symmetric psd input.
 
 Decompositions go through ``numpy.linalg``, so they run on the same BLAS
 runtime as every ``@`` product.  No module of the package uses scipy's dense
@@ -42,6 +44,33 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{name} contains non-finite entries")
     return out
+
+
+def check_orthonormal(q_basis, tol: float = 1e-6) -> np.ndarray:
+    """Validate and return ``q_basis`` as a matrix whose columns are orthonormal within ``tol``."""
+    q_basis = as_matrix(q_basis, "q_basis")
+    dev = np.abs(q_basis.T @ q_basis - np.eye(q_basis.shape[1])).max()
+    if dev > tol:
+        raise ValueError(f"Q is not orthonormal (deviation {dev:.3e})")
+    return q_basis
+
+
+def psd_eigenvalues(a, tol: float = 1e-8) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric psd matrix ``a``.
+
+    Raises unless ``a`` is square, symmetric within ``tol`` times its
+    largest entry, and has no eigenvalue below ``-tol`` times the largest
+    in magnitude.  ``a`` is taken as a validated matrix.
+    """
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"psd input must be square, got {a.shape}")
+    if np.abs(a - a.T).max() > tol * np.abs(a).max():
+        raise ValueError("matrix is not symmetric within tolerance")
+    w = np.linalg.eigvalsh((a + a.T) / 2.0)
+    floor = -tol * np.abs(w).max()
+    if w.min() < floor:
+        raise ValueError(f"matrix is not psd: min eigenvalue {w.min():.3e} < {floor:.3e}")
+    return w
 
 
 def _default_rel_tol(shape) -> float:

@@ -15,20 +15,21 @@ Three constructions, all driven by one parameter record
   on the small core matrix.
 
 One engine runs all of them: :func:`_iterates` builds the sketches and the
-start block and yields the powered block after q = 0, 1, ... steps, with
-the algorithm time of each step.  A compressing sketch (r1 < n) is powered
-on a small r1 x r1 core, ``(A S)^T (A S)`` or, for Nystrom, ``S^T A S``: after
-one Gram, a step costs r1^2 r2 multiply-adds instead of the 2 m r1 r2 of
-the pair ``A S ((A S)^T Y)``, which only the identity-sketch baselines
-still step (see :func:`power_iterate`).  A method of ``_METHODS`` (the five names
-the library, ``skpower run`` and ``skpower bench`` share) says what the
+start block and yields its state after q = 0, 1, ... steps; the state's
+``elapsed`` is the only record of the algorithm time.  A compressing
+sketch (r1 < n) is powered on a small r1 x r1 core, ``(A S)^T (A S)`` or,
+for Nystrom, ``S^T A S``: after one Gram, a step costs r1^2 r2
+multiply-adds instead of the 2 m r1 r2 of the pair ``A S ((A S)^T Y)``,
+which only the identity-sketch baselines still step (see
+:func:`power_iterate`).  A method of ``_METHODS`` (the five names the library, ``skpower run`` and ``skpower bench`` share) says what the
 engine powers and how its factors are assembled.  The public functions
 advance the engine to ``spec.q`` and assemble; the benchmark steps it one
-iterate at a time, so its ``time_ms`` (sketch build and apply, start block
-and first product at q = 0, then per step one stabilization and core
-product, the Gram at the first, and the block ``Y = A S z``; the secondary
-sketch, the assembly and the error evaluation excluded) comes from the same
-code that the library runs.
+iterate at a time, so its ``time_ms`` (the ``sketch`` and ``power`` stages:
+sketch build and apply, start block and first product at q = 0, then per
+step one stabilization and core product, the Gram at the first, and the
+block ``Y = A S z``; the secondary sketch, the assembly and the error
+evaluation excluded) comes from the same code and clock that the library
+runs.
 
 Seeds: the primary sketch uses substream 0 of ``spec.seed``, the Gaussian
 start block substream 1, and the secondary regression sketch substream 2,
@@ -44,7 +45,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import as_matrix, orthonormalize, pinv, span_basis, thin_svd, SvdResult
+from .linalg import as_matrix, check_orthonormal, orthonormalize, pinv, span_basis, thin_svd, SvdResult
+from .linalg import psd_eigenvalues as _check_psd  # a power binding, for wrappers installed on it
 from .sketching import SketchOperator, make_sketch, substream
 
 
@@ -193,7 +195,7 @@ class _Iterate:
 
 
 def _iterates(a: np.ndarray, spec: RangeFinderSpec, entry: _Method):
-    """Yield ``(state, seconds)`` after ``spec.q``, ``spec.q + 1``, ... steps.
+    """Yield the state after ``spec.q``, ``spec.q + 1``, ... steps.
 
     A compressing primary sketch (``r1 < n``) is powered on its r1 x r1
     core: ``(atil atil.T)^q atil Omega = atil (atil.T atil)^q Omega``, so
@@ -204,12 +206,11 @@ def _iterates(a: np.ndarray, spec: RangeFinderSpec, entry: _Method):
     identity sketch steps the textbook pair ``atil (atil.T y)`` of
     :func:`power_iterate` from ``atil @ Omega``; its Gram would be n x n.
 
-    ``seconds`` is the algorithm time since the previous yield.  The first
-    covers the primary sketch build and apply, the start-block draw and the
-    first ``spec.q`` steps (the first product for the ``A S`` iteration); each
-    later one covers one step.  The secondary sketch ``S2.T A`` is built once,
-    before anything else, and is not counted.  The state is updated in
-    place.  ``a`` and ``spec`` are taken as validated.
+    ``state.elapsed`` is the algorithm time so far: ``sketch`` is the primary
+    sketch build and apply, ``power`` the start-block draw and every step
+    (the first product for the ``A S`` iteration), and ``regression`` the
+    secondary sketch ``S2.T A``, built once, before anything else.  The
+    state is updated in place.  ``a`` and ``spec`` are taken as validated.
     """
     m, n = a.shape
     t0 = time.perf_counter()
@@ -240,16 +241,14 @@ def _iterates(a: np.ndarray, spec: RangeFinderSpec, entry: _Method):
     state.elapsed.update(sketch=t_sketch - t_s2, power=t_power - t_sketch)
     if entry.regression:
         state.elapsed["regression"] = t_s2 - t0
-    seconds = t_power - t_s2
     while True:
-        yield state, seconds
+        yield state
         t0 = time.perf_counter()
         state.step(spec.stabilized)
         if expose:
             state.y = state.atil @ state.z
-        seconds = time.perf_counter() - t0
+        state.elapsed["power"] += time.perf_counter() - t0
         state.q += 1
-        state.elapsed["power"] += seconds
 
 
 def _basis(state: _Iterate) -> dict[str, np.ndarray]:
@@ -283,22 +282,6 @@ class _Method(NamedTuple):
     @property
     def applies_sketch(self) -> bool:
         return self.sketched or self.regression
-
-
-def _check_psd(a, tol: float = 1e-8) -> None:
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"psd input must be square, got {a.shape}")
-    scale = np.abs(a).max()
-    if scale == 0.0:
-        return
-    if np.abs(a - a.T).max() > tol * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    w = np.linalg.eigvalsh((a + a.T) / 2.0)
-    norm = np.abs(w).max()
-    if norm > 0.0 and w.min() < -tol * norm:
-        raise ValueError(
-            f"matrix is not psd: min eigenvalue {w.min():.3e} < {-tol * norm:.3e}"
-        )
 
 
 def _product(factors: dict) -> np.ndarray:
@@ -347,7 +330,7 @@ def _advance(a, spec: RangeFinderSpec, method: str) -> tuple[dict[str, np.ndarra
     if entry.check is not None:
         entry.check(a)
     spec.validate(*a.shape)
-    state, _ = next(_iterates(a, spec, entry))
+    state = next(_iterates(a, spec, entry))
     if not entry.core:  # the assembly reads Y (and S2): free A S and its Gram before it runs
         state.atil = state.core = None
     t0 = time.perf_counter()
@@ -376,18 +359,8 @@ def range_finder_classical(
     """
     a = as_matrix(a, "a")
     m, n = a.shape
-    spec = RangeFinderSpec(
-        k=k,
-        l=min(m, n),
-        r1=n,
-        r2=r2,
-        q=q,
-        eps=0.5,
-        sketch_kind="identity",
-        seed=seed,
-        stabilized=stabilized,
-    )
-    return _advance(a, spec, "classical-randsvd")[0]["Q"]
+    spec = RangeFinderSpec(k=k, l=min(m, n), r1=n, r2=r2, q=q, eps=0.5, seed=seed, stabilized=stabilized)
+    return _advance(a, _method_spec("classical-randsvd", spec, n), "classical-randsvd")[0]["Q"]
 
 
 def randsvd(a, q_basis) -> SvdResult:
@@ -398,14 +371,11 @@ def randsvd(a, q_basis) -> SvdResult:
     U diag(sigma) V.T == Q Q.T a up to rounding.
     """
     a = as_matrix(a, "a")
-    q_basis = as_matrix(q_basis, "q_basis")
+    q_basis = check_orthonormal(q_basis)
     if q_basis.shape[0] != a.shape[0]:
         raise ValueError(
             f"dimension mismatch: Q has {q_basis.shape[0]} rows, a has {a.shape[0]}"
         )
-    ortho_err = np.abs(q_basis.T @ q_basis - np.eye(q_basis.shape[1])).max()
-    if ortho_err > 1e-6:
-        raise ValueError(f"Q is not orthonormal (deviation {ortho_err:.3e})")
     b = q_basis.T @ a
     u_small, sigma, v = thin_svd(b)
     return SvdResult(U=q_basis @ u_small, sigma=sigma, V=v)

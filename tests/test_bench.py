@@ -160,9 +160,11 @@ class TestRun:
         parallel = run_benchmark(
             small_config(tmp_path, workers=3, output_path=str(tmp_path / "p.csv"))
         )
+        # rows come in task order whatever the number of workers
         key = lambda r: (r.method, r.l, r.trial, r.q_iter)
-        for a, b in zip(sorted(serial, key=key), sorted(parallel, key=key)):
-            assert key(a) == key(b)
+        assert [key(r) for r in parallel] == [key(r) for r in serial]
+        assert [key(r) for r in read_records_csv(str(tmp_path / "p.csv"))] == [key(r) for r in serial]
+        for a, b in zip(serial, parallel):
             assert abs(a.rel_err - b.rel_err) <= 1e-12
 
     def test_partial_results_flushed_on_failure(self, tmp_path):

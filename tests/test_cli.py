@@ -63,8 +63,10 @@ class TestGen:
         sv = np.linalg.svd(read_binary(path), compute_uv=False)
         top = [float(v) for v in values["prescribed_top_singular_values"].strip("[]").split(", ") if v != "..."]
         np.testing.assert_allclose(top, sv[: len(top)], rtol=1e-10)
-        nonzero = sv[sv > 1e-10 * sv[0]]  # lowrank prescribes its rank-r part
-        np.testing.assert_allclose(float(values["prescribed_sigma_min"]), nonzero[-1], rtol=1e-10)
+        # lowrank leaves min(m, n) - rank singular values at zero, up to rounding
+        np.testing.assert_allclose(
+            float(values["prescribed_sigma_min"]), sv[-1], rtol=1e-10, atol=1e-12 * sv[0]
+        )
 
     def test_recipe_loads_the_generated_file(self, tmp_path, capsys):
         path = tmp_path / "e.skpw"
@@ -74,6 +76,28 @@ class TestGen:
         )
         assert code == 0
         np.testing.assert_array_equal(load_matrix("expdecay:30x20:rate=0.2:seed=4"), read_binary(path))
+
+    @pytest.mark.parametrize(
+        "kind, options, recipe",
+        [
+            ("polydecay", [], "polydecay:30x20:seed=0"),
+            ("lowrank", ["--noise", "0.5"], "lowrank:30x20:rank=10:noise=0.5"),
+        ],
+    )
+    def test_omitted_flags_take_the_kind_defaults(self, tmp_path, capsys, kind, options, recipe):
+        path = tmp_path / "d.skpw"
+        code, _, _ = run_cli(capsys, "gen", kind, "--m", "30", "--n", "20", *options, "--out", str(path))
+        assert code == 0
+        np.testing.assert_array_equal(load_matrix(recipe), read_binary(path))
+
+    def test_rejects_an_option_of_another_kind(self, tmp_path, capsys):
+        path = tmp_path / "x.skpw"
+        code, _, err = run_cli(
+            capsys, "gen", "polydecay", "--m", "6", "--n", "4", "--rate", "5", "--rank", "2",
+            "--out", str(path),
+        )
+        assert code == 2 and "bad polydecay option 'rate=5.0'" in err and "one of seed" in err
+        assert not path.exists()
 
     def test_usage_error_exit_code(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "gen", "polydecay", "--m", "10")
@@ -212,6 +236,16 @@ class TestRun:
         assert code == 0
         assert float(parse_kv(out)["spec_err"]) > 0.0
 
+    def test_k_at_min_dimension_prints_nan_rel_err(self, capsys):
+        # sigma_(k+1) does not exist at k = min(m, n): the run reports no relative error
+        code, out, _ = run_cli(
+            capsys, "run", "--data", "polydecay:20x10:seed=1", "--method", "sketched-randsvd",
+            "--k", "10", "--r1", "10", "--r2", "10", "--q", "1",
+        )
+        assert code == 0
+        values = parse_kv(out)
+        assert values["rel_err"] == "nan" and float(values["spec_err"]) >= 0.0
+
     def test_missing_file_is_runtime_error(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "--data", "/nonexistent.skpw", "--method", "nystrom", "--k", "2"
@@ -313,6 +347,34 @@ class TestBench:
         code, _, _ = run_cli(capsys, "bench", "--config", str(cfg), "--trials", "1")
         assert code == 0
         assert len(read_records_csv(out_csv)) == 1
+
+    def test_k_at_min_dimension_fails_before_any_series(self, tmp_path, capsys):
+        out_csv = tmp_path / "k.csv"
+        code, _, err = run_cli(
+            capsys, "bench", "--data", "polydecay:20x10:seed=1", "--k", "10", "--l-values", "10",
+            "--out", str(out_csv),
+        )
+        assert code == 2 and "sigma_(k+1)" in err and "k must be in [1, 9], got 10" in err
+        assert not out_csv.exists()
+
+    def test_verbose_reports_each_series(self, tmp_path, capsys):
+        out_csv = tmp_path / "v.csv"
+        code, out, _ = run_cli(
+            capsys, "bench", "--data", "polydecay:60x40:seed=2",
+            "--methods", "sketched-randsvd,classical-randsvd",
+            "--k", "4", "--l-values", "8,12", "--q-max", "1", "--trials", "2", "--seed", "3",
+            "--out", str(out_csv), "--verbose",
+        )
+        assert code == 0
+        done = [line.split() for line in out.splitlines() if line.startswith("done ")]
+        methods = ("sketched-randsvd", "classical-randsvd")
+        series = [(m, l, t) for m in methods for l in (8, 12) for t in (0, 1)]
+        assert [line[1:4] for line in done] == [[f"method={m}", f"l={l}", f"trial={t}"] for m, l, t in series]
+        assert all(line[4] == "q_max=1" for line in done)
+        last = {(r.method, r.l, r.trial): r for r in read_records_csv(out_csv)}  # the last row of each series
+        assert [float(line[5].split("=")[1]) for line in done] == [
+            pytest.approx(last[key].time_ms, abs=0.06) for key in series
+        ]
 
     def test_missing_dataset_is_error(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--k", "4")

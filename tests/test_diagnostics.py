@@ -44,6 +44,13 @@ class TestSpectralProfile:
         assert np.all(prof.values >= 0.0)
         assert len(prof) == 10
 
+    def test_from_psd_rejects_non_square_and_asymmetric(self):
+        # the input check of nystrom: no silent symmetrization
+        with pytest.raises(ValueError, match="square"):
+            SpectralProfile.from_psd(np.ones((3, 2)))
+        with pytest.raises(ValueError, match="symmetric"):
+            SpectralProfile.from_psd(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError, match="descending"):
             profile_of([1.0, 2.0])

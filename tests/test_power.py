@@ -148,7 +148,7 @@ class TestCorePath:
         )
         np.testing.assert_array_equal(lowrank_factorize(a, spec).Y, expected)
         entry = power._METHODS["lowrank-factorize-unsketched"]
-        for state, _ in islice(power._iterates(a, replace(spec, q=0), entry), 4):
+        for state in islice(power._iterates(a, replace(spec, q=0), entry), 4):
             np.testing.assert_array_equal(state.y, power_iterate(a, omega, state.q, stabilized))
 
 
