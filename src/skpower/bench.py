@@ -13,7 +13,7 @@ Gaussian start block of size ``r2 = k``.
 ``elapsed``, the ``sketch`` plus the ``power`` stage that ``skpower run``
 prints: sketch construction and the sketched product (attributed to the
 q = 0 point), the start-block draw, and each power step with its in-loop
-stabilization when enabled (one CholeskyQR pass, or the full
+stabilization (one CholeskyQR pass, or the full
 orthonormalization when that pass leaves the block too far from
 orthonormal).  On a compressing sketch a step
 is the r1 x r1 core product (the Gram ``(A S)^T (A S)`` formed at the
@@ -26,9 +26,11 @@ recomputed from scratch at every reported point and is identical across
 the methods being compared at a fixed target rank, so accumulating it
 would only blur the comparison.
 
-Error metrics go through :mod:`skpower.diagnostics`: the spectral residual
+Error metrics go through :mod:`skpower.diagnostics`, on the residual
+``A - L R`` of the thin factors each method's ``low_rank`` gives (``Q`` and
+``Q^T A``, ``Y`` and ``X``, ``C`` and ``W^+ C^T``): its spectral norm
 is estimated by a seeded block Krylov iteration (a lower bound, stopped at
-relative change 1e-6), the Frobenius residual is exact, and ``rel_err`` is
+relative change 1e-6), its Frobenius norm is exact, and ``rel_err`` is
 :func:`~skpower.diagnostics.relative_error`, residual / sigma_{k+1} - 1
 against the full-SVD profile of the dataset (computed once, untimed).
 
@@ -48,7 +50,7 @@ from .data_io import TrialRecord
 from .diagnostics import (
     SpectralProfile,
     estimated_approximation_residuals,
-    estimated_projection_residuals,
+    estimated_projection_residuals,  # not called here; a binding the perfbench tracer wraps
     relative_error,
 )
 from .linalg import orthonormalize, pinv  # not called here; bindings the perfbench tracer wraps
@@ -80,8 +82,7 @@ class BenchConfig:
 
     ``dataset`` is what :func:`skpower.data_io.load_matrix` accepts: a
     synthetic recipe such as ``polydecay:400x200:seed=7``, a ``.skpw`` path
-    or a MatrixMarket path.  ``label`` (the records' ``dataset`` column)
-    defaults to its basename.
+    or a MatrixMarket path; the records' ``dataset`` column is its basename.
     """
 
     dataset: str = _option("", str)
@@ -97,12 +98,6 @@ class BenchConfig:
     s: int = _option(1, int)
     output_path: str = _option("bench.csv", str, key="output")
     workers: int = _option(1, int)
-    stabilized: bool = _option(True, lambda text: str(text).lower() not in ("false", "0", "no"))
-    label: str | None = _option(None, str)
-
-    def __post_init__(self) -> None:
-        if self.label is None:
-            self.label = os.path.basename(self.dataset)
 
     def validate(self) -> None:
         if not self.dataset:
@@ -172,19 +167,15 @@ def _series_spec(method: str, n: int, k: int, l: int, q: int, **params) -> Range
 
 def _errors(a, entry, state, profile: SpectralProfile, seed: int, k: int):
     """``(spec_err, frob_err, rel_err)`` of the factors ``entry`` assembles from ``state``."""
-    factors = entry.assemble(state)
-    err_seed = substream(seed, _ERR_STREAM, state.q)
-    if entry.approximation is None:
-        spec, frob = estimated_projection_residuals(a, factors["Q"], seed=err_seed)
-    else:
-        spec, frob = estimated_approximation_residuals(a, entry.approximation(factors), seed=err_seed)
+    left, right = entry.low_rank(a, entry.assemble(state))
+    spec, frob = estimated_approximation_residuals(a, left, right, seed=substream(seed, _ERR_STREAM, state.q))
     return spec, frob, relative_error(spec, profile, k)
 
 
 def _run_series(a, profile, cfg: BenchConfig, method: str, l: int, trial: int, seed: int):
     spec = _series_spec(
         method, a.shape[1], cfg.k, l, 0, eps=cfg.eps, sketch_kind=cfg.sketch_kind,
-        seed=seed, stabilized=cfg.stabilized, s=cfg.s,
+        seed=seed, s=cfg.s,
     )
     entry = _METHODS[method]
     countsketch = cfg.sketch_kind == "countsketch" and entry.applies_sketch
@@ -194,7 +185,7 @@ def _run_series(a, profile, cfg: BenchConfig, method: str, l: int, trial: int, s
         rows.append(
             TrialRecord(
                 method=method,
-                dataset=cfg.label,
+                dataset=os.path.basename(cfg.dataset),
                 m=a.shape[0],
                 n=a.shape[1],
                 k=cfg.k,
@@ -215,7 +206,7 @@ def _run_series(a, profile, cfg: BenchConfig, method: str, l: int, trial: int, s
     return rows
 
 
-def replay_record(a, rec: TrialRecord, sketch_kind: str = "countsketch", stabilized: bool = True):
+def replay_record(a, rec: TrialRecord, sketch_kind: str = "countsketch"):
     """Rerun one recorded (method, parameters, seed, q) point; returns errors.
 
     The returned ``(spec_err, frob_err, rel_err)`` reproduce the recorded
@@ -224,14 +215,14 @@ def replay_record(a, rec: TrialRecord, sketch_kind: str = "countsketch", stabili
     profile = SpectralProfile.from_matrix(a)
     spec = _series_spec(
         rec.method, a.shape[1], rec.k, rec.l, rec.q_iter, eps=rec.eps, sketch_kind=sketch_kind,
-        seed=rec.seed, stabilized=stabilized, s=rec.s if rec.s else 1,
+        seed=rec.seed, s=rec.s if rec.s else 1,
     )
     entry = _METHODS[rec.method]
     state = next(_iterates(a, spec, entry))
     return _errors(a, entry, state, profile, rec.seed, rec.k)
 
 
-def run_benchmark(cfg: BenchConfig, csv_path: str | None = None, progress=None) -> list[TrialRecord]:
+def run_benchmark(cfg: BenchConfig, progress=None) -> list[TrialRecord]:
     """Run the configured benchmark; stream rows to CSV as they are produced.
 
     With ``workers > 1`` the independent (method, l, trial) series run in a
@@ -263,4 +254,4 @@ def run_benchmark(cfg: BenchConfig, csv_path: str | None = None, progress=None) 
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         run = lambda task: _run_series(a, profile, cfg, *task)
         results = pool.map(run, tasks) if cfg.workers > 1 else map(run, tasks)
-        return data_io.write_records_csv(rows(results), csv_path or cfg.output_path)
+        return data_io.write_records_csv(rows(results), cfg.output_path)

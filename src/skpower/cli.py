@@ -118,15 +118,12 @@ def _cmd_run(args) -> int:
     spec = power._method_spec(args.method, base, n)
     profile = diagnostics.SpectralProfile.from_matrix(a)
     saved, stage = power._advance(a, spec, args.method)
-    if entry.approximation is None:
-        q_basis = saved["Q"]
+    spec_err, frob_err = diagnostics.approximation_residuals(a, *entry.low_rank(a, saved))
+    if "Q" in saved:  # a basis: report its randomized SVD
         t0 = time.perf_counter()
-        u, sigma, v = power.randsvd(a, q_basis)
+        u, sigma, v = power.randsvd(a, saved["Q"])
         stage["svd_assembly"] = time.perf_counter() - t0
-        spec_err, frob_err = diagnostics.projection_residuals(a, q_basis)
         saved = {"U": u, "sigma": sigma.reshape(1, -1), "V": v}
-    else:
-        spec_err, frob_err = diagnostics.approximation_residuals(a, entry.approximation(saved))
     try:
         rel_err = diagnostics.relative_error(spec_err, profile, args.k)
     except ValueError:  # no positive sigma_(k+1): k = min(m, n), or an exactly rank-k input
@@ -231,14 +228,21 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _dimension(text: str) -> int:
+    """A matrix dimension: a positive integer, else a usage error."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="skpower", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     gen = sub.add_parser("gen", help="generate a synthetic matrix file")
     gen.add_argument("kind", choices=list(data_io.RECIPES))
-    gen.add_argument("--m", type=int, required=True)
-    gen.add_argument("--n", type=int, required=True)
+    gen.add_argument("--m", type=_dimension, required=True)
+    gen.add_argument("--n", type=_dimension, required=True)
     options = {key: default for recipe in data_io.RECIPES.values() for key, default in recipe.options.items()}
     for key, default in options.items():
         kinds = [kind for kind, recipe in data_io.RECIPES.items() if key in recipe.options]
@@ -270,7 +274,6 @@ def build_parser() -> _Parser:
     bench.add_argument("--config", help="flat key=value config file")
     # dests are the config keys, so the flags given override the config file
     bench.add_argument("--data", dest="dataset", help="dataset path or synthetic recipe")
-    bench.add_argument("--label")
     bench.add_argument("--methods", help="comma-separated method list")
     bench.add_argument("--k", type=int)
     bench.add_argument("--l-values", dest="l_values", help="comma-separated sketch sizes")

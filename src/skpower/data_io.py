@@ -151,6 +151,39 @@ def _mm_error(path, lineno: int, message: str) -> ValueError:
     return ValueError(f"{path}:{lineno}: {message}")
 
 
+def _mm_parse(path, lineno: int, tok: str, kind, what: str):
+    """``kind(tok)``, or an error naming ``what`` and the token."""
+    try:
+        return kind(tok)
+    except ValueError:
+        raise _mm_error(path, lineno, f"{what} {tok!r}") from None
+
+
+def _mm_array_entries(path, entries, rows: int, cols: int, symmetric: bool):
+    """Yield ``(i, j, value)``: one value per token, column-major, the lower triangle when symmetric."""
+    positions = ((i, j) for j in range(cols) for i in range(j if symmetric else 0, rows))
+    for lineno, text in entries:
+        for tok in text.split():
+            position = next(positions, None)
+            if position is None:
+                raise _mm_error(path, lineno, "more entries than rows*cols")
+            yield (*position, _mm_parse(path, lineno, tok, float, "non-real value"))
+
+
+def _mm_coordinate_entries(path, entries, rows: int, cols: int):
+    """Yield ``(i, j, value)``: one ``i j value`` line per entry, 1-based indices."""
+    for lineno, text in entries:
+        tokens = text.split()
+        if len(tokens) != 3:
+            raise _mm_error(path, lineno, f"expected 'i j value', got {text!r}")
+        i = _mm_parse(path, lineno, tokens[0], int, "invalid row index:")
+        j = _mm_parse(path, lineno, tokens[1], int, "invalid column index:")
+        value = _mm_parse(path, lineno, tokens[2], float, "non-real value")
+        if not (1 <= i <= rows and 1 <= j <= cols):
+            raise _mm_error(path, lineno, f"index ({i}, {j}) out of bounds for {rows}x{cols}")
+        yield i - 1, j - 1, value
+
+
 def read_matrix_market(path) -> np.ndarray:
     """Read a real MatrixMarket file (array or coordinate, general or symmetric).
 
@@ -172,92 +205,41 @@ def read_matrix_market(path) -> np.ndarray:
         raise _mm_error(path, 1, f"unsupported field {field_kind!r} (only real)")
     if symmetry not in ("general", "symmetric"):
         raise _mm_error(path, 1, f"unsupported symmetry {symmetry!r}")
+    symmetric = symmetry == "symmetric"
 
-    # skip comments / blanks to the size line
-    idx = 1
-    while idx < len(lines) and (lines[idx].startswith("%") or not lines[idx].strip()):
-        idx += 1
-    if idx >= len(lines):
+    # (line number, text) of every line after the header that is neither blank nor a comment
+    stripped = enumerate((line.strip() for line in lines[1:]), start=2)
+    data = [(lineno, text) for lineno, text in stripped if text and not text.startswith("%")]
+    if not data:
         raise _mm_error(path, len(lines), "missing size line")
-    size_tokens = lines[idx].split()
-    lineno = idx + 1
-
-    def _parse_int(tok, what):
-        try:
-            value = int(tok)
-        except ValueError:
-            raise _mm_error(path, lineno, f"invalid {what}: {tok!r}") from None
-        return value
-
-    if fmt == "array":
-        if len(size_tokens) != 2:
-            raise _mm_error(path, lineno, "array size line must be 'rows cols'")
-        rows = _parse_int(size_tokens[0], "row count")
-        cols = _parse_int(size_tokens[1], "column count")
-        if rows < 1 or cols < 1:
-            raise _mm_error(path, lineno, "dimensions must be positive")
-        if symmetry == "symmetric" and rows != cols:
-            raise _mm_error(path, lineno, "symmetric matrices must be square")
-        out = np.zeros((rows, cols))
-        if symmetry == "general":
-            coords = [(i, j) for j in range(cols) for i in range(rows)]
-        else:
-            coords = [(i, j) for j in range(cols) for i in range(j, rows)]
-        pos = 0
-        for offset, line in enumerate(lines[idx + 1 :], start=idx + 2):
-            text = line.strip()
-            if not text or text.startswith("%"):
-                continue
-            for tok in text.split():
-                if pos >= len(coords):
-                    raise _mm_error(path, offset, "more entries than rows*cols")
-                try:
-                    value = float(tok)
-                except ValueError:
-                    raise _mm_error(path, offset, f"non-real value {tok!r}") from None
-                i, j = coords[pos]
-                out[i, j] = value
-                if symmetry == "symmetric":
-                    out[j, i] = value
-                pos += 1
-        if pos != len(coords):
-            raise _mm_error(path, len(lines), f"expected {len(coords)} entries, got {pos}")
-        return as_matrix(out, "matrix-market data")
-
-    # coordinate
-    if len(size_tokens) != 3:
-        raise _mm_error(path, lineno, "coordinate size line must be 'rows cols nnz'")
-    rows = _parse_int(size_tokens[0], "row count")
-    cols = _parse_int(size_tokens[1], "column count")
-    nnz = _parse_int(size_tokens[2], "non-zero count")
-    if rows < 1 or cols < 1 or nnz < 0:
+    (lineno, size_line), entries = data[0], data[1:]
+    layout = ("rows", "cols") if fmt == "array" else ("rows", "cols", "nnz")
+    size_tokens = size_line.split()
+    if len(size_tokens) != len(layout):
+        raise _mm_error(path, lineno, f"{fmt} size line must be '{' '.join(layout)}'")
+    names = ("row count", "column count", "non-zero count")
+    rows, cols, *nnz = (
+        _mm_parse(path, lineno, tok, int, f"invalid {what}:") for tok, what in zip(size_tokens, names)
+    )
+    if rows < 1 or cols < 1 or min(nnz, default=0) < 0:
         raise _mm_error(path, lineno, "sizes must be positive")
-    if symmetry == "symmetric" and rows != cols:
+    if symmetric and rows != cols:
         raise _mm_error(path, lineno, "symmetric matrices must be square")
+
     out = np.zeros((rows, cols))
-    seen = 0
-    for offset, line in enumerate(lines[idx + 1 :], start=idx + 2):
-        text = line.strip()
-        if not text or text.startswith("%"):
-            continue
-        tokens = text.split()
-        if len(tokens) != 3:
-            raise _mm_error(path, offset, f"expected 'i j value', got {text!r}")
-        lineno = offset
-        i = _parse_int(tokens[0], "row index")
-        j = _parse_int(tokens[1], "column index")
-        try:
-            value = float(tokens[2])
-        except ValueError:
-            raise _mm_error(path, offset, f"non-real value {tokens[2]!r}") from None
-        if not (1 <= i <= rows and 1 <= j <= cols):
-            raise _mm_error(path, offset, f"index ({i}, {j}) out of bounds for {rows}x{cols}")
-        out[i - 1, j - 1] = value
-        if symmetry == "symmetric":
-            out[j - 1, i - 1] = value
-        seen += 1
-    if seen != nnz:
-        raise _mm_error(path, len(lines), f"expected {nnz} entries, got {seen}")
+    if fmt == "array":
+        decoded = _mm_array_entries(path, entries, rows, cols, symmetric)
+    else:
+        decoded = _mm_coordinate_entries(path, entries, rows, cols)
+    count = 0
+    for i, j, value in decoded:
+        out[i, j] = value
+        if symmetric:
+            out[j, i] = value
+        count += 1
+    expected = nnz[0] if nnz else rows * (rows + 1) // 2 if symmetric else rows * cols
+    if count != expected:
+        raise _mm_error(path, len(lines), f"expected {expected} entries, got {count}")
     return as_matrix(out, "matrix-market data")
 
 

@@ -1,9 +1,10 @@
 """Spectral profiles, error metrics, and evaluable error bounds.
 
 This module is the single source of truth for every error number the
-package reports: projection residuals (exact and estimated), the
-regularized-spectral-approximation certifier, and closed-form evaluators
-for the error bounds that the sketched power method is expected to meet.
+package reports: the norms (exact and estimated) of the residual
+``A - L R`` of a method's factors, the regularized-spectral-approximation
+certifier, and closed-form evaluators for the error bounds that the
+sketched power method is expected to meet.
 Bound evaluations are returned as :class:`BoundReport` rows so the
 constants actually used are recorded next to the verdict.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .linalg import as_matrix, check_orthonormal, frobenius_norm, psd_eigenvalues
+from .linalg import as_matrix, frobenius_norm, orthonormal_projection, psd_eigenvalues
 from .power import choose_q
 from .sketching import _rng
 
@@ -27,6 +28,7 @@ _CERTIFIER_MAX_ROWS = 2048  # whitening needs a dense m-by-m eigendecomposition
 _KRYLOV_BLOCK = 4
 _KRYLOV_ROWS = 32
 _DEFLATION = np.sqrt(np.finfo(np.float64).eps)
+_ESTIMATOR_TOL = 1e-6  # relative change between steps at which the estimate stops
 
 
 @dataclass(frozen=True)
@@ -58,10 +60,10 @@ class SpectralProfile:
         return cls(values=np.linalg.svd(a, compute_uv=False), shape=a.shape)
 
     @classmethod
-    def from_psd(cls, a, tol: float = 1e-8) -> "SpectralProfile":
+    def from_psd(cls, a) -> "SpectralProfile":
         """Eigenvalue profile of a symmetric psd matrix, clamped at zero (see ``psd_eigenvalues``)."""
         a = as_matrix(a, "a")
-        return cls(values=np.clip(psd_eigenvalues(a, tol)[::-1], 0.0, None), shape=a.shape)
+        return cls(values=np.clip(psd_eigenvalues(a)[::-1], 0.0, None), shape=a.shape)
 
 
 @dataclass
@@ -150,16 +152,6 @@ def certify_spectral_approx(a, a_sketched, lam: float, eps: float) -> BoundRepor
     )
 
 
-def projection_residuals(a, q_basis) -> tuple[float, float]:
-    """Exact (spectral, Frobenius) norms of ``a - Q Q.T a``."""
-    a = as_matrix(a, "a")
-    q_basis = check_orthonormal(q_basis)
-    if q_basis.shape[0] != a.shape[0]:
-        raise ValueError("Q and a must have the same number of rows")
-    resid = a - q_basis @ (q_basis.T @ a)
-    return float(np.linalg.norm(resid, 2)), frobenius_norm(resid)
-
-
 def _extend(basis, y) -> np.ndarray:
     """Orthonormal rows spanning the part of ``y``'s row space that the
     orthonormal rows of ``basis`` miss.
@@ -176,7 +168,7 @@ def _extend(basis, y) -> np.ndarray:
     return rows - (rows @ basis.T) @ basis
 
 
-def estimate_spectral_norm(a, tol: float = 1e-6, max_iter: int = 1000, seed: int = 0) -> float:
+def estimate_spectral_norm(a, tol: float = _ESTIMATOR_TOL, max_iter: int = 1000, seed: int = 0) -> float:
     """Spectral norm of ``a`` by block Golub-Kahan-Lanczos (block Krylov) iteration.
 
     Golub & Kahan (1965) in the block form of Golub, Luk & Overton (1981),
@@ -239,43 +231,40 @@ def estimate_spectral_norm(a, tol: float = 1e-6, max_iter: int = 1000, seed: int
     return sigma
 
 
-def estimated_projection_residuals(
-    a, q_basis, tol: float = 1e-6, seed: int = 0
-) -> tuple[float, float]:
-    """(spectral, Frobenius) residual norms with the spectral part estimated.
-
-    Same contract as :func:`projection_residuals` but the spectral norm
-    comes from :func:`estimate_spectral_norm` (block Krylov iteration at
-    relative tolerance ``tol``, a lower bound) instead of a full SVD.
-    """
+def _residual(a, left, right) -> np.ndarray:
+    """``a - left @ right``: the one place a method's residual is formed."""
     a = as_matrix(a, "a")
-    q_basis = check_orthonormal(q_basis)
-    if q_basis.shape[0] != a.shape[0]:
-        raise ValueError("Q and a must have the same number of rows")
-    resid = a - q_basis @ (q_basis.T @ a)
-    return estimate_spectral_norm(resid, tol=tol, seed=seed), frobenius_norm(resid)
+    left, right = as_matrix(left, "left"), as_matrix(right, "right")
+    if left.shape[0] != a.shape[0] or right.shape[1] != a.shape[1] or left.shape[1] != right.shape[0]:
+        raise ValueError(f"shape mismatch: a is {a.shape}, factors are {left.shape} and {right.shape}")
+    return a - left @ right
 
 
-def approximation_residuals(a, approx) -> tuple[float, float]:
-    """Exact (spectral, Frobenius) norms of ``a - approx``."""
-    a = as_matrix(a, "a")
-    approx = as_matrix(approx, "approx")
-    if a.shape != approx.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {approx.shape}")
-    resid = a - approx
+def approximation_residuals(a, left, right) -> tuple[float, float]:
+    """Exact (spectral, Frobenius) norms of ``a - left @ right``."""
+    resid = _residual(a, left, right)
     return float(np.linalg.norm(resid, 2)), frobenius_norm(resid)
 
 
 def estimated_approximation_residuals(
-    a, approx, tol: float = 1e-6, seed: int = 0
+    a, left, right, tol: float = _ESTIMATOR_TOL, seed: int = 0
 ) -> tuple[float, float]:
-    """Like :func:`approximation_residuals` with the spectral norm estimated."""
-    a = as_matrix(a, "a")
-    approx = as_matrix(approx, "approx")
-    if a.shape != approx.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {approx.shape}")
-    resid = a - approx
+    """Like :func:`approximation_residuals`, with the spectral norm from :func:`estimate_spectral_norm`
+    (block Krylov iteration at relative tolerance ``tol``, a lower bound) instead of a full SVD."""
+    resid = _residual(a, left, right)
     return estimate_spectral_norm(resid, tol=tol, seed=seed), frobenius_norm(resid)
+
+
+def projection_residuals(a, q_basis) -> tuple[float, float]:
+    """Exact (spectral, Frobenius) norms of ``a - Q Q.T a``."""
+    return approximation_residuals(a, *orthonormal_projection(a, q_basis))
+
+
+def estimated_projection_residuals(
+    a, q_basis, tol: float = _ESTIMATOR_TOL, seed: int = 0
+) -> tuple[float, float]:
+    """Like :func:`projection_residuals` with the spectral norm estimated."""
+    return estimated_approximation_residuals(a, *orthonormal_projection(a, q_basis), tol=tol, seed=seed)
 
 
 def approximation_error_bound(

@@ -3,8 +3,8 @@
 Everything operates on 2-D float64 numpy arrays.  ``as_matrix`` is the single
 entry point that enforces the operand contract (two-dimensional, non-empty,
 all entries finite); public operations validate their inputs through it.
-The two structural checks live next to it: ``check_orthonormal`` for a basis
-and ``psd_eigenvalues`` for a symmetric psd input.
+The two structural checks live next to it: ``orthonormal_projection`` for a
+basis and ``psd_eigenvalues`` for a symmetric psd input.
 
 Decompositions go through ``numpy.linalg``, so they run on the same BLAS
 runtime as every ``@`` product.  No module of the package uses scipy's dense
@@ -46,22 +46,26 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
-def check_orthonormal(q_basis, tol: float = 1e-6) -> np.ndarray:
-    """Validate and return ``q_basis`` as a matrix whose columns are orthonormal within ``tol``."""
+def orthonormal_projection(a, q_basis) -> tuple[np.ndarray, np.ndarray]:
+    """``(Q, Q.T @ a)``, raising unless Q's columns are orthonormal within 1e-6 and it has ``a``'s rows."""
+    a = as_matrix(a, "a")
     q_basis = as_matrix(q_basis, "q_basis")
     dev = np.abs(q_basis.T @ q_basis - np.eye(q_basis.shape[1])).max()
-    if dev > tol:
+    if dev > 1e-6:
         raise ValueError(f"Q is not orthonormal (deviation {dev:.3e})")
-    return q_basis
+    if q_basis.shape[0] != a.shape[0]:
+        raise ValueError(f"Q and a must have the same number of rows, got {q_basis.shape[0]} and {a.shape[0]}")
+    return q_basis, q_basis.T @ a
 
 
-def psd_eigenvalues(a, tol: float = 1e-8) -> np.ndarray:
+def psd_eigenvalues(a) -> np.ndarray:
     """Ascending eigenvalues of the symmetric psd matrix ``a``.
 
-    Raises unless ``a`` is square, symmetric within ``tol`` times its
+    Raises unless ``a`` is square, symmetric within ``tol`` = 1e-8 times its
     largest entry, and has no eigenvalue below ``-tol`` times the largest
     in magnitude.  ``a`` is taken as a validated matrix.
     """
+    tol = 1e-8
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"psd input must be square, got {a.shape}")
     if np.abs(a - a.T).max() > tol * np.abs(a).max():
@@ -163,19 +167,17 @@ def thin_svd(a) -> SvdResult:
     return SvdResult(U=u, sigma=s, V=vh.T.copy())
 
 
-def pinv(m, rel_tol: float | None = None) -> np.ndarray:
+def pinv(m) -> np.ndarray:
     """Moore-Penrose pseudoinverse via the thin SVD.
 
-    Singular values at or below ``rel_tol * sigma_max`` are treated as zero;
-    ``rel_tol`` defaults to ``max(rows, cols) * eps``.
+    Singular values at or below ``max(rows, cols) * eps * sigma_max`` are
+    treated as zero.
     """
     m = as_matrix(m, "m")
-    if rel_tol is None:
-        rel_tol = _default_rel_tol(m.shape)
     u, s, v = thin_svd(m)
     if s[0] == 0.0:
         return np.zeros((m.shape[1], m.shape[0]))
-    keep = s > rel_tol * s[0]
+    keep = s > _default_rel_tol(m.shape) * s[0]
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
     return (v * inv) @ u.T

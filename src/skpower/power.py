@@ -21,8 +21,10 @@ sketch (r1 < n) is powered on a small r1 x r1 core, ``(A S)^T (A S)`` or,
 for Nystrom, ``S^T A S``: after one Gram, a step costs r1^2 r2
 multiply-adds instead of the 2 m r1 r2 of the pair ``A S ((A S)^T Y)``,
 which only the identity-sketch baselines still step (see
-:func:`power_iterate`).  A method of ``_METHODS`` (the five names the library, ``skpower run`` and ``skpower bench`` share) says what the
-engine powers and how its factors are assembled.  The public functions
+:func:`power_iterate`).  A method of ``_METHODS`` (the five names the
+library, ``skpower run`` and ``skpower bench`` share) says what the engine
+powers, how its factors are assembled and the thin pair ``L @ R`` they
+approximate A by.  The public functions
 advance the engine to ``spec.q`` and assemble; the benchmark steps it one
 iterate at a time, so its ``time_ms`` (the ``sketch`` and ``power`` stages:
 sketch build and apply, start block and first product at q = 0, then per
@@ -45,7 +47,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import as_matrix, check_orthonormal, orthonormalize, pinv, span_basis, thin_svd, SvdResult
+from .linalg import as_matrix, orthonormal_projection, orthonormalize, pinv, span_basis, thin_svd, SvdResult
 from .linalg import psd_eigenvalues as _check_psd  # a power binding, for wrappers installed on it
 from .sketching import SketchOperator, make_sketch, substream
 
@@ -272,8 +274,8 @@ class _Method(NamedTuple):
 
     assemble: Callable[[_Iterate], dict[str, np.ndarray]]
     stage: str  # the elapsed key of the assembly
-    # factors -> dense approximation of A; None: the factors hold a basis Q to project onto
-    approximation: Callable[[dict], np.ndarray] | None = None
+    # (A, factors) -> thin (L, R) with A ~= L @ R, the approximation its error is measured on
+    low_rank: Callable[[np.ndarray, dict], tuple[np.ndarray, np.ndarray]]
     sketched: bool = True  # False: the identity primary sketch, r1 = n (a classical baseline)
     core: bool = False  # power the Nystrom core S.T A S rather than A S
     regression: bool = False  # build the secondary sketch S2.T A
@@ -284,24 +286,28 @@ class _Method(NamedTuple):
         return self.sketched or self.regression
 
 
-def _product(factors: dict) -> np.ndarray:
-    return factors["Y"] @ factors["X"]
+def _projection(a: np.ndarray, factors: dict) -> tuple[np.ndarray, np.ndarray]:
+    return factors["Q"], factors["Q"].T @ a
 
 
-def _nystrom_approximation(factors: dict) -> np.ndarray:
-    return factors["C"] @ (pinv(factors["W"]) @ factors["C"].T)
+def _product(a: np.ndarray, factors: dict) -> tuple[np.ndarray, np.ndarray]:
+    return factors["Y"], factors["X"]
+
+
+def _nystrom_product(a: np.ndarray, factors: dict) -> tuple[np.ndarray, np.ndarray]:
+    return factors["C"], pinv(factors["W"]) @ factors["C"].T
 
 
 _METHODS = {
-    "classical-randsvd": _Method(_basis, "basis", sketched=False),
-    "sketched-randsvd": _Method(_basis, "basis"),
+    "classical-randsvd": _Method(_basis, "basis", _projection, sketched=False),
+    "sketched-randsvd": _Method(_basis, "basis", _projection),
     "lowrank-factorize": _Method(_regression, "regression", _product, regression=True),
     "lowrank-factorize-unsketched": _Method(
         _regression, "regression", _product, sketched=False, regression=True
     ),
     # looked up at call time, so a wrapper installed on power._check_psd sees the call
     "nystrom": _Method(
-        _contraction, "contract", _nystrom_approximation, core=True, check=lambda a: _check_psd(a)
+        _contraction, "contract", _nystrom_product, core=True, check=lambda a: _check_psd(a)
     ),
 }
 
@@ -370,13 +376,7 @@ def randsvd(a, q_basis) -> SvdResult:
     (U~, sigma, V), and returns (Q U~, sigma, V), so that
     U diag(sigma) V.T == Q Q.T a up to rounding.
     """
-    a = as_matrix(a, "a")
-    q_basis = check_orthonormal(q_basis)
-    if q_basis.shape[0] != a.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: Q has {q_basis.shape[0]} rows, a has {a.shape[0]}"
-        )
-    b = q_basis.T @ a
+    q_basis, b = orthonormal_projection(a, q_basis)
     u_small, sigma, v = thin_svd(b)
     return SvdResult(U=q_basis @ u_small, sigma=sigma, V=v)
 

@@ -249,17 +249,11 @@ def _check_size_params(k: int, eps: float, delta: float, c: float) -> None:
         raise ValueError(f"c must be > 0, got {c}")
 
 
-def countsketch_size(
-    k: int, eps: float, delta: float, c: float = 2.0, variant: str = "b"
-) -> tuple[int, int]:
+def countsketch_size(k: int, eps: float, delta: float, c: float = 2.0) -> tuple[int, int]:
     """Heuristic CountSketch dimensions ``(r, s)`` for target rank ``k``.
 
-    Two sizing regimes are offered; ``variant="b"`` (the default used by the
-    benchmarks) trades a larger r for a smaller per-row fill:
-
-    * ``"a"``: r = ceil(c*(k + ln(1/(eps*delta)))/eps^2),
-      s = ceil(c*(ln^2(k/delta)/eps + ln^3(k/delta)))
-    * ``"b"``: r = ceil(c*k*ln(k/delta)/eps^2), s = ceil(c*ln(k/delta)/eps)
+    r = ceil(c*k*ln(k/delta)/eps^2) and s = ceil(c*ln(k/delta)/eps), capped
+    at r: a larger r for a smaller per-row fill.
 
     The constants hidden in the theory are unknown; ``c`` is a caller-tuned
     multiplier and these formulas are heuristics to be validated with the
@@ -267,14 +261,8 @@ def countsketch_size(
     """
     _check_size_params(k, eps, delta, c)
     log_kd = math.log(k / delta)
-    if variant == "a":
-        r = math.ceil(c * (k + math.log(1.0 / (eps * delta))) / eps**2)
-        s = math.ceil(c * (log_kd**2 / eps + log_kd**3))
-    elif variant == "b":
-        r = math.ceil(c * k * log_kd / eps**2)
-        s = math.ceil(c * log_kd / eps)
-    else:
-        raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
+    r = math.ceil(c * k * log_kd / eps**2)
+    s = math.ceil(c * log_kd / eps)
     return r, max(1, min(s, r))
 
 
@@ -289,7 +277,7 @@ def sketch_size(
     """Heuristic sketch dimension ``r`` for the given family and target rank.
 
     * gaussian / sign: ceil(c*(k + ln(1/delta))/eps^2)
-    * countsketch: the variant-"b" r from :func:`countsketch_size`
+    * countsketch: the r of :func:`countsketch_size`
     * srht: ceil(c*(k + ln(n/delta))*ln(k/delta)/eps^2); requires ``n``
 
     Same caveat as :func:`countsketch_size`: calibrate ``c`` empirically.
@@ -298,7 +286,7 @@ def sketch_size(
     if kind in ("gaussian", "sign"):
         return math.ceil(c * (k + math.log(1.0 / delta)) / eps**2)
     if kind == "countsketch":
-        return countsketch_size(k, eps, delta, c, variant="b")[0]
+        return countsketch_size(k, eps, delta, c)[0]
     if kind == "srht":
         if n is None:
             raise ValueError("srht sizing needs the input dimension n")

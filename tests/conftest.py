@@ -16,7 +16,7 @@ from skpower.data_io import _haar_columns
 # resulting r drops the pass rate to ~2%.
 CALIBRATED_GAUSSIAN_C = 8.0
 
-# CountSketch variant-(b) multiplier for the powered range finder / low-rank
+# CountSketch sizing multiplier for the powered range finder / low-rank
 # factorization suites (l-level sizing).
 CALIBRATED_COUNTSKETCH_C = 0.25
 

@@ -231,16 +231,16 @@ def test_bench_row_factors_equal_library_factors(tmp_path, monkeypatch, method, 
     )
     seen = []
 
-    def capture(a, factors, seed):
-        seen.append(factors)
+    def capture(a, left, right, seed):
+        seen.append((left, right))
         return 1.0, 1.0
 
-    monkeypatch.setattr(bench_mod, "estimated_projection_residuals", capture)
     monkeypatch.setattr(bench_mod, "estimated_approximation_residuals", capture)
     records = run_benchmark(cfg)
     assert [r.q_iter for r in records] == list(range(q + 1))
     expected = _library_factors(load_matrix(cfg.dataset), method, 5, 15, q, records[-1].seed)
-    assert np.array_equal(seen[-1], expected)
+    left, right = seen[-1]
+    assert np.array_equal(left if method.endswith("randsvd") else left @ right, expected)
 
 
 def test_replay_record_regenerates_classical_and_nystrom_rows(tmp_path):

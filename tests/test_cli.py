@@ -6,7 +6,7 @@ from conftest import psd_polydecay
 from skpower.cli import main
 from skpower.data_io import load_matrix, read_binary, read_records_csv, write_binary
 from skpower.diagnostics import projection_residuals
-from skpower.power import choose_q, range_finder_classical
+from skpower.power import RangeFinderSpec, choose_q, range_finder_classical, range_finder_sketched
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +103,16 @@ class TestGen:
         code, _, err = run_cli(capsys, "gen", "polydecay", "--m", "10")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("flag", ["--m", "--n"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_dimension_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        dims = {"--m": "6", "--n": "4", flag: value}
+        out = tmp_path / "g.skpw"
+        code, _, err = run_cli(capsys, "gen", "polydecay", "--m", dims["--m"], "--n", dims["--n"], "--out", str(out))
+        assert code == 1
+        assert f"argument {flag}: must be an integer >= 1, got '{value}'" in err
+        assert not out.exists()
+
 
 class TestRun:
     def test_exact_rank_input(self, tmp_path, capsys):
@@ -155,6 +165,22 @@ class TestRun:
         assert abs(np.linalg.norm(resid, 2) - float(values["spec_err"])) <= 1e-8 * max(
             float(values["spec_err"]), 1.0
         )
+
+    def test_no_stabilize_prints_the_unstabilized_library_errors(self, capsys):
+        recipe = "polydecay:80x50:seed=2"
+        code, out, _ = run_cli(
+            capsys, "run", "--data", recipe, "--method", "sketched-randsvd", "--k", "4",
+            "--r1", "20", "--r2", "8", "--q", "6", "--sketch", "gaussian", "--seed", "5", "--no-stabilize",
+        )
+        assert code == 0
+        a = load_matrix(recipe)
+        spec = RangeFinderSpec(
+            k=4, l=50, r1=20, r2=8, q=6, eps=0.5, sketch_kind="gaussian", seed=5, stabilized=False
+        )
+        spec_err, frob_err = projection_residuals(a, range_finder_sketched(a, spec))
+        values = parse_kv(out)
+        assert values["spec_err"] == f"{spec_err:.12g}"
+        assert values["frob_err"] == f"{frob_err:.12g}"
 
     def test_unsketched_baseline_method(self, tmp_path, capsys):
         path = tmp_path / "b.skpw"
@@ -261,7 +287,7 @@ class TestRun:
         run_cli(capsys, "gen", "polydecay", "--m", "30", "--n", "20", "--seed", "1", "--out", str(path))
         sentinel = (123.25, 456.5)
         monkeypatch.setattr(
-            cli_mod.diagnostics, "approximation_residuals", lambda a, b: sentinel
+            cli_mod.diagnostics, "approximation_residuals", lambda a, left, right: sentinel
         )
         code, out, _ = run_cli(
             capsys, "run", "--data", str(path), "--method", "lowrank-factorize",

@@ -38,7 +38,7 @@ from skpower.sketching import countsketch_size, make_sketch, substream
 
 
 def countsketch_spec(k, l, m, n, eps=0.5, seed=0, **overrides):
-    """RangeFinderSpec with the calibrated variant-(b) CountSketch sizing."""
+    """RangeFinderSpec with the calibrated CountSketch sizing."""
     r1, s = countsketch_size(l, eps, DELTA, CALIBRATED_COUNTSKETCH_C)
     r1 = min(r1, n)
     params = dict(
@@ -150,6 +150,32 @@ class TestCorePath:
         entry = power._METHODS["lowrank-factorize-unsketched"]
         for state in islice(power._iterates(a, replace(spec, q=0), entry), 4):
             np.testing.assert_array_equal(state.y, power_iterate(a, omega, state.q, stabilized))
+
+
+class TestLowRank:
+    """Each method's ``low_rank`` pair is the textbook approximation of its library factors."""
+
+    @pytest.mark.parametrize("method", list(power._METHODS))
+    def test_product_is_the_textbook_approximation(self, method):
+        a = random_psd(50, seed=39)
+        spec = RangeFinderSpec(k=4, l=8, r1=20, r2=8, q=2, eps=0.5, sketch_kind="gaussian", seed=40)
+        if method == "classical-randsvd":
+            factors = {"Q": range_finder_classical(a, 4, 8, 2, seed=40)}
+        elif method == "sketched-randsvd":
+            factors = {"Q": range_finder_sketched(a, spec)}
+        elif method == "nystrom":
+            factors = vars(nystrom_psd(a, spec))
+        else:
+            spec = power._method_spec(method, spec, 50)
+            factors = vars(lowrank_factorize(a, spec))
+        left, right = power._METHODS[method].low_rank(a, factors)
+        if "Q" in factors:
+            expected = factors["Q"] @ (factors["Q"].T @ a)
+        elif "Y" in factors:
+            expected = factors["Y"] @ factors["X"]
+        else:
+            expected = factors["C"] @ (pinv(factors["W"]) @ factors["C"].T)
+        assert np.array_equal(left @ right, expected)
 
 
 class TestInLoopStabilizer:

@@ -235,15 +235,12 @@ class TestSketchSize:
         r2 = sketch_size("gaussian", 10, 0.25, delta, c=1.0)
         assert (r1, r2) == (48, 192)
 
-    def test_countsketch_variants(self):
+    def test_countsketch_formulas(self):
         k, eps, delta, c = 25, 0.5, 0.1, 1.0
         log_kd = math.log(k / delta)
-        r_b, s_b = countsketch_size(k, eps, delta, c, variant="b")
-        assert r_b == math.ceil(c * k * log_kd / eps**2)
-        assert s_b == math.ceil(c * log_kd / eps)
-        r_a, s_a = countsketch_size(k, eps, delta, c, variant="a")
-        assert r_a == math.ceil(c * (k + math.log(1 / (eps * delta))) / eps**2)
-        assert s_a == min(r_a, math.ceil(c * (log_kd**2 / eps + log_kd**3)))
+        r, s = countsketch_size(k, eps, delta, c)
+        assert r == math.ceil(c * k * log_kd / eps**2)
+        assert s == math.ceil(c * log_kd / eps)
 
     def test_srht_needs_n(self):
         with pytest.raises(ValueError, match="dimension n"):
