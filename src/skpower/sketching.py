@@ -10,15 +10,22 @@ mapping an ``n``-dimensional coordinate space down to ``r`` dimensions:
 ``countsketch``
     sparse matrix with exactly ``s`` non-zeros of +-1/sqrt(s) per row, at
     distinct column positions drawn without replacement; applying it costs
-    O(nnz(A) * s) and never materializes a dense n-by-r matrix.
+    O(nnz(A) * s) and never materializes a dense n-by-r matrix.  Both
+    applies run scipy's sparse kernel; ``A @ S`` runs it on 256-row blocks
+    of A, each transposed in cache, which gives scipy's ``A @ S`` bit for
+    bit without its transposed copy of all of A.
 ``srht``
     subsampled randomized Hadamard transform (1/sqrt(r)) * D * H * I[:, T]
     with a random sign diagonal D, an unnormalized Hadamard matrix H of the
     next power-of-two dimension (inputs are zero-padded internally), and a
-    uniformly random size-r column subset T; never materialized.  H is
-    applied by :func:`fwht` as two small Hadamard GEMMs (a Kronecker split
-    of H), which costs more arithmetic than the O(n log n) butterfly but
-    runs on BLAS.
+    uniformly random size-r column subset T; never materialized.  The
+    1/sqrt(r) is folded into D when the operator is built.  H is the
+    Kronecker product of two small Hadamard matrices (a split shared with
+    :func:`fwht`), applied as two GEMMs, which costs more arithmetic than
+    the O(n log n) butterfly but runs on BLAS.  ``A @ S`` transforms every
+    padded coordinate of each 256-row block of A and then keeps T;
+    ``S.T @ A`` runs the big factor on every padded row and the small one
+    only on the rows in T.
 
 An extra ``identity`` family (square, r == n) is included as a baseline
 hook: power iteration on an identity sketch is exactly the classical,
@@ -31,6 +38,7 @@ a root seed with :func:`substream`.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -41,6 +49,7 @@ from .linalg import as_matrix
 SKETCH_KINDS = ("gaussian", "sign", "countsketch", "srht", "identity")
 
 _DENSIFY_CAP = 10**7  # desk-scale guard for explicit n-by-r materialization
+_BLOCK_ROWS = 256  # rows of A per block in the CountSketch and SRHT ``A @ S``
 
 _MASK64 = (1 << 64) - 1
 
@@ -64,12 +73,24 @@ def _next_pow2(n: int) -> int:
     return 1 << (int(n) - 1).bit_length()
 
 
+@functools.lru_cache(maxsize=16)
 def _sylvester(size: int) -> np.ndarray:
-    """Unnormalized +-1 Sylvester Hadamard matrix of a power-of-two ``size``."""
+    """Unnormalized +-1 Sylvester Hadamard matrix of a power-of-two ``size`` (shared, read-only)."""
     h = np.ones((1, 1))
     while h.shape[0] < size:
         h = np.block([[h, h], [h, -h]])
+    h.flags.writeable = False
     return h
+
+
+def _kron_split(n: int) -> tuple[int, int]:
+    """``(big, small)`` with ``H_n = H_big kron H_small`` for a power-of-two ``n``.
+
+    ``big = 2^ceil(log2(n) / 2)`` and ``small = 2^floor(log2(n) / 2)``; index
+    ``i`` of H_n is ``(i // small, i % small)`` in the two factors.
+    """
+    log_n = n.bit_length() - 1
+    return 1 << (log_n + 1) // 2, 1 << log_n // 2
 
 
 def fwht(a: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -79,11 +100,10 @@ def fwht(a: np.ndarray, axis: int = 0) -> np.ndarray:
     of size ``n = a.shape[axis]``, which must be a power of two; a 1-D
     input is transformed as one fiber.
 
-    With ``n = 2^(p+q)``, ``p = ceil(log2(n) / 2)`` and ``q = floor(log2(n) / 2)``,
-    the Sylvester identity ``H_n = H_{2^p} kron H_{2^q}`` splits the
-    transform into two small Hadamard GEMMs on reshaped views of the
-    input, with no transpose copy on either axis.  That is
-    ``n * (2^p + 2^q)`` multiply-adds per fiber (96 n at n = 2048, against
+    The Sylvester identity ``H_n = H_big kron H_small`` (:func:`_kron_split`)
+    splits the transform into two small Hadamard GEMMs on reshaped views of
+    the input, with no transpose copy on either axis.  That is
+    ``n * (big + small)`` multiply-adds per fiber (96 n at n = 2048, against
     the butterfly's 11 n additions), but run by BLAS, whereas each of the
     butterfly's log2(n) passes is a memory-bound numpy sweep that allocates
     and writes the whole array; on 2048 x 1000 the split is about 5x faster.
@@ -96,8 +116,7 @@ def fwht(a: np.ndarray, axis: int = 0) -> np.ndarray:
     n = a.shape[axis]
     if n < 1 or n & (n - 1):
         raise ValueError(f"transform length {n} is not a power of two")
-    log_n = n.bit_length() - 1
-    big, small = 1 << (log_n + 1) // 2, 1 << log_n // 2
+    big, small = _kron_split(n)
     h_big, h_small = _sylvester(big), _sylvester(small)
     if axis == 0:
         cols = a.size // n
@@ -145,8 +164,21 @@ class SketchOperator:
             if r > n_pad:
                 raise ValueError(f"srht needs r <= padded dimension {n_pad}, got r={r}")
             self._n_pad = n_pad
-            self._signs = rng.integers(0, 2, size=n_pad).astype(np.float64) * 2.0 - 1.0
+            signs = rng.integers(0, 2, size=n_pad).astype(np.float64) * 2.0 - 1.0
             self._subset = np.sort(rng.choice(n_pad, size=r, replace=False))
+            self._scaled_signs = signs / math.sqrt(r)
+            big, small = _kron_split(n_pad)
+            self._h_big, h_small = _sylvester(big), _sylvester(small)
+            # kept rows of H, grouped by their big-factor index: rows start:stop of
+            # S.T @ a are h_small[lo] @ (h_big @ padded)[block]
+            block, lo = np.divmod(self._subset, small)
+            edges = np.searchsorted(block, np.arange(big + 1)).tolist()
+            h_kept = h_small[lo]
+            self._kept_rows = [
+                (b, start, stop, h_kept[start:stop])
+                for b, (start, stop) in enumerate(zip(edges, edges[1:]))
+                if stop > start
+            ]
         elif kind == "gaussian":
             self._dense = rng.standard_normal((n, r)) / math.sqrt(r)
         elif kind == "sign":
@@ -179,13 +211,26 @@ class SketchOperator:
         if a.shape[1] != self.n:
             raise ValueError(f"dimension mismatch: a has {a.shape[1]} cols, sketch n={self.n}")
         if self.kind == "countsketch":
-            return np.asarray(a @ self._sparse)
+            # scipy's a @ S copies all of a.T for its kernel; a 256-row block's
+            # copy stays in cache, and every sum runs as in the full product
+            s_t = self._sparse.T
+            out = np.empty((self.r, a.shape[0]))
+            for start in range(0, a.shape[0], _BLOCK_ROWS):
+                block = a[start : start + _BLOCK_ROWS]
+                out[:, start : start + len(block)] = s_t @ np.ascontiguousarray(block.T)
+            return out.T  # Fortran-ordered, as scipy's product is
         if self.kind == "srht":
-            signed = np.zeros((a.shape[0], self._n_pad))
-            np.multiply(a, self._signs[: self.n], out=signed[:, : self.n])
-            mixed = fwht(signed, axis=1)[:, self._subset]
-            mixed /= math.sqrt(self.r)
-            return mixed
+            m = a.shape[0]
+            signed = np.zeros((min(m, _BLOCK_ROWS), self._n_pad))
+            out = np.empty((m, self.r))
+            for start in range(0, m, _BLOCK_ROWS):
+                block = a[start : start + _BLOCK_ROWS]
+                rows = block.shape[0]
+                np.multiply(block, self._scaled_signs[: self.n], out=signed[:rows, : self.n])
+                mixed = fwht(signed[:rows], axis=1)
+                # the subset is in range by construction; "clip" writes out unbuffered
+                np.take(mixed, self._subset, axis=1, out=out[start : start + rows], mode="clip")
+            return out
         if self.kind == "identity":
             return a
         return a @ self._dense
@@ -198,11 +243,15 @@ class SketchOperator:
         if self.kind == "countsketch":
             return np.asarray(self._sparse.T @ a)
         if self.kind == "srht":
-            signed = np.zeros((self._n_pad, a.shape[1]))
-            np.multiply(a, self._signs[: self.n, None], out=signed[: self.n])
-            mixed = fwht(signed, axis=0)[self._subset]
-            mixed /= math.sqrt(self.r)
-            return mixed
+            cols = a.shape[1]
+            signed = np.zeros((self._n_pad, cols))
+            np.multiply(a, self._scaled_signs[: self.n, None], out=signed[: self.n])
+            big = self._h_big.shape[0]
+            stage = (self._h_big @ signed.reshape(big, -1)).reshape(big, -1, cols)
+            out = np.empty((self.r, cols))
+            for b, start, stop, h_kept in self._kept_rows:
+                np.matmul(h_kept, stage[b], out=out[start:stop])
+            return out
         if self.kind == "identity":
             return a
         return self._dense.T @ a
@@ -222,8 +271,7 @@ class SketchOperator:
             one_hot = np.zeros((self._n_pad, self.r))
             one_hot[self._subset, np.arange(self.r)] = 1.0
             columns = fwht(one_hot, axis=0)  # H[:, T]
-            full = self._signs[:, None] * columns / math.sqrt(self.r)
-            return full[: self.n, :]
+            return (self._scaled_signs[:, None] * columns)[: self.n, :]
         if self.kind == "identity":
             return np.eye(self.n)
         return self._dense.copy()

@@ -198,30 +198,58 @@ class TestFwht:
         fwht(x, axis=0)
         fwht(x.T, axis=1)
         np.testing.assert_array_equal(x, before)
-        for n in (24, 32):  # padded and unpadded
-            op = make_sketch("srht", n, 10, seed=19)
-            a = rng.standard_normal((7, n))
-            b = rng.standard_normal((n, 5))
-            a0, b0 = a.copy(), b.copy()
-            op.apply_right(a)
-            op.apply_left_transpose(b)
-            np.testing.assert_array_equal(a, a0)
-            np.testing.assert_array_equal(b, b0)
+        # every kind; srht padded and unpadded, countsketch across a row-block edge
+        for kind in SKETCH_KINDS:
+            s = 2 if kind == "countsketch" else None
+            for n in (24, 32):
+                op = make_sketch(kind, n, n if kind == "identity" else 10, seed=19, s=s)
+                a = rng.standard_normal((300, n))
+                b = rng.standard_normal((n, 5))
+                a0, b0 = a.copy(), b.copy()
+                op.apply_right(a)
+                op.apply_left_transpose(b)
+                np.testing.assert_array_equal(a, a0, err_msg=kind)
+                np.testing.assert_array_equal(b, b0, err_msg=kind)
+
+
+@pytest.mark.parametrize("s", [1, 2, 4])
+def test_countsketch_apply_right_equals_scipy_product(s):
+    # scipy's kernel on 256-row blocks: equal bit for bit, at every block edge
+    rng = np.random.default_rng(30 + s)
+    op = make_sketch("countsketch", 90, 25, seed=substream(30, s), s=s)
+    for rows in (1, 255, 256, 257, 300):
+        a = rng.standard_normal((rows, 90))
+        fast, scipy_product = op.apply_right(a), np.asarray(a @ op._sparse)
+        np.testing.assert_array_equal(fast, scipy_product, err_msg=str(rows))
+        # the same memory order too, so every product formed from it rounds as scipy's would
+        assert fast.flags.f_contiguous == scipy_product.flags.f_contiguous
+
+
+@pytest.mark.parametrize("n", [20, 100])  # padded to 32 (split 8 x 4) and 128 (16 x 8)
+def test_srht_keeping_one_or_every_row_gives_densify(n):
+    # r = 1 leaves most big blocks with no kept row; r = n_pad keeps every row
+    n_pad = 1 << (n - 1).bit_length()
+    for r in (1, n_pad):
+        op = make_sketch("srht", n, r, seed=substream(21, n, r))
+        np.testing.assert_array_equal(op.apply_right(np.eye(n)), op.densify(), err_msg=str(r))
+        np.testing.assert_array_equal(op.apply_left_transpose(np.eye(n)), op.densify().T, err_msg=str(r))
 
 
 @pytest.mark.parametrize("n", [1000, 2000])  # padded to 1024 and 2048
 def test_srht_apply_at_workload_padding(n):
     rng = np.random.default_rng(n)
-    op = make_sketch("srht", n, 400, seed=substream(20, n))
-    dense = op.densify()
     a = rng.standard_normal((30, n))
-    expected = a @ dense
-    gap = np.abs(op.apply_right(a) - expected).max() / np.abs(expected).max()
-    assert gap <= 1e-12
     b = rng.standard_normal((n, 30))
-    expected_t = dense.T @ b
-    gap_t = np.abs(op.apply_left_transpose(b) - expected_t).max() / np.abs(expected_t).max()
-    assert gap_t <= 1e-12
+    # the workload's r, then one kept row and every padded row kept
+    for r in (400, 1, 1 << (n - 1).bit_length()):
+        op = make_sketch("srht", n, r, seed=substream(20, n))
+        dense = op.densify()
+        expected = a @ dense
+        gap = np.abs(op.apply_right(a) - expected).max() / np.abs(expected).max()
+        assert gap <= 1e-12, r
+        expected_t = dense.T @ b
+        gap_t = np.abs(op.apply_left_transpose(b) - expected_t).max() / np.abs(expected_t).max()
+        assert gap_t <= 1e-12, r
 
 
 class TestSketchSize:
