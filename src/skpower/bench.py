@@ -54,7 +54,7 @@ from .diagnostics import (
     relative_error,
 )
 from .linalg import orthonormalize, pinv  # not called here; bindings the perfbench tracer wraps
-from .power import _METHODS, RangeFinderSpec, _iterates, _method_spec
+from .power import _METHODS, RangeFinderSpec, _checked, _iterates
 from .sketching import make_sketch, substream  # make_sketch: a binding the perfbench tracer wraps
 
 METHODS = tuple(_METHODS)
@@ -113,9 +113,6 @@ class BenchConfig:
         for method in self.methods:
             if method not in METHODS:
                 raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-        for l in self.l_values:
-            if l < self.k:
-                raise ValueError(f"every l must be >= k, got l={l} < k={self.k}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -160,28 +157,25 @@ def config_from_mapping(values: dict) -> BenchConfig:
 # ---------------------------------------------------------------------------
 
 
-def _series_spec(method: str, n: int, k: int, l: int, q: int, **params) -> RangeFinderSpec:
-    """The spec one series runs: a primary sketch of size l and a k-column start block."""
-    return _method_spec(method, RangeFinderSpec(k=k, l=l, r1=l, r2=k, q=q, **params), n)
+def _series(a, method: str, k: int, l: int, q: int, seed: int, **params):
+    """The validated states of one series: a primary sketch of size l and a k-column start block."""
+    return _iterates(a, RangeFinderSpec(k=k, l=l, r1=l, r2=k, q=q, seed=seed, **params), method)
 
 
-def _errors(a, entry, state, profile: SpectralProfile, seed: int, k: int):
+def _errors(a, entry, state, profile: SpectralProfile):
     """``(spec_err, frob_err, rel_err)`` of the factors ``entry`` assembles from ``state``."""
     left, right = entry.low_rank(a, entry.assemble(state))
-    spec, frob = estimated_approximation_residuals(a, left, right, seed=substream(seed, _ERR_STREAM, state.q))
-    return spec, frob, relative_error(spec, profile, k)
+    seed = substream(state.spec.seed, _ERR_STREAM, state.q)
+    norm, frob = estimated_approximation_residuals(a, left, right, seed=seed)
+    return norm, frob, relative_error(norm, profile, state.spec.k)
 
 
-def _run_series(a, profile, cfg: BenchConfig, method: str, l: int, trial: int, seed: int):
-    spec = _series_spec(
-        method, a.shape[1], cfg.k, l, 0, eps=cfg.eps, sketch_kind=cfg.sketch_kind,
-        seed=seed, s=cfg.s,
-    )
+def _run_series(a, profile, cfg: BenchConfig, method: str, trial: int, states):
     entry = _METHODS[method]
     countsketch = cfg.sketch_kind == "countsketch" and entry.applies_sketch
     rows = []
-    for state in islice(_iterates(a, spec, entry), cfg.q_max_for(method) + 1):
-        spec_err, frob, rel = _errors(a, entry, state, profile, seed, cfg.k)
+    for state in islice(states, cfg.q_max_for(method) + 1):
+        spec_err, frob, rel = _errors(a, entry, state, profile)
         rows.append(
             TrialRecord(
                 method=method,
@@ -189,13 +183,13 @@ def _run_series(a, profile, cfg: BenchConfig, method: str, l: int, trial: int, s
                 m=a.shape[0],
                 n=a.shape[1],
                 k=cfg.k,
-                l=l,
-                r1=spec.r1,
-                r2=spec.r2,
+                l=state.spec.l,
+                r1=state.spec.r1,
+                r2=state.spec.r2,
                 s=cfg.s if countsketch else 0,
                 q_iter=state.q,
                 eps=cfg.eps,
-                seed=seed,
+                seed=state.spec.seed,
                 trial=trial,
                 time_ms=1e3 * (state.elapsed["sketch"] + state.elapsed["power"]),
                 spec_err=spec_err,
@@ -203,6 +197,7 @@ def _run_series(a, profile, cfg: BenchConfig, method: str, l: int, trial: int, s
                 rel_err=rel,
             )
         )
+    states.close()  # free the series' arrays: the task list still holds its iterator
     return rows
 
 
@@ -210,16 +205,15 @@ def replay_record(a, rec: TrialRecord, sketch_kind: str = "countsketch"):
     """Rerun one recorded (method, parameters, seed, q) point; returns errors.
 
     The returned ``(spec_err, frob_err, rel_err)`` reproduce the recorded
-    values (timings are not reproducible and are ignored).
+    values (timings are not reproducible and are ignored).  The matrix and
+    the row's spec are checked as the library checks them.
     """
-    profile = SpectralProfile.from_matrix(a)
-    spec = _series_spec(
-        rec.method, a.shape[1], rec.k, rec.l, rec.q_iter, eps=rec.eps, sketch_kind=sketch_kind,
-        seed=rec.seed, s=rec.s if rec.s else 1,
+    a = _checked(a, [rec.method])
+    states = _series(
+        a, rec.method, rec.k, rec.l, rec.q_iter, rec.seed, eps=rec.eps, sketch_kind=sketch_kind,
+        s=rec.s if rec.s else 1,
     )
-    entry = _METHODS[rec.method]
-    state = next(_iterates(a, spec, entry))
-    return _errors(a, entry, state, profile, rec.seed, rec.k)
+    return _errors(a, _METHODS[rec.method], next(states), SpectralProfile.from_matrix(a))
 
 
 def run_benchmark(cfg: BenchConfig, progress=None) -> list[TrialRecord]:
@@ -232,18 +226,16 @@ def run_benchmark(cfg: BenchConfig, progress=None) -> list[TrialRecord]:
     ``progress`` is called with the last row of each series once it is written.
     """
     cfg.validate()
-    a = data_io.load_matrix(cfg.dataset)
-    for check in {_METHODS[method].check for method in cfg.methods} - {None}:
-        check(a)
-    profile = SpectralProfile.from_matrix(a)
-    relative_error(0.0, profile, cfg.k)  # fail before the first series if sigma_(k+1) is missing or zero
-
-    tasks = [
-        (method, l, trial, substream(cfg.root_seed, mi, li, trial))
+    a = _checked(data_io.load_matrix(cfg.dataset), cfg.methods)
+    params = dict(eps=cfg.eps, sketch_kind=cfg.sketch_kind, s=cfg.s)
+    tasks = [  # every series' spec is validated here, before the profile and the CSV
+        (method, trial, _series(a, method, cfg.k, l, 0, substream(cfg.root_seed, mi, li, trial), **params))
         for mi, method in enumerate(cfg.methods)
         for li, l in enumerate(cfg.l_values)
         for trial in range(cfg.trials)
     ]
+    profile = SpectralProfile.from_matrix(a)
+    relative_error(0.0, profile, cfg.k)  # fail before the first series if sigma_(k+1) is missing or zero
 
     def rows(results):
         for series in results:

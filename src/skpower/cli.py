@@ -103,7 +103,7 @@ def _cmd_run(args) -> int:
     m, n = a.shape
     entry = power._METHODS[args.method]
     r1, r2, q, s = _derive_parameters(args, m, n, entry)
-    base = power.RangeFinderSpec(
+    spec = power.RangeFinderSpec(
         k=args.k,
         l=args.l if args.l is not None else min(m, n),
         r1=r1,
@@ -115,10 +115,10 @@ def _cmd_run(args) -> int:
         stabilized=not args.no_stabilize,
         s=s,
     )
-    spec = power._method_spec(args.method, base, n)
+    saved, stage, spec = power._advance(a, spec, args.method)  # first: a rejected input costs no SVD
     profile = diagnostics.SpectralProfile.from_matrix(a)
-    saved, stage = power._advance(a, spec, args.method)
-    spec_err, frob_err = diagnostics.approximation_residuals(a, *entry.low_rank(a, saved))
+    left, right = entry.low_rank(a, saved)
+    spec_err, frob_err = diagnostics.approximation_residuals(a, left, right)
     if "Q" in saved:  # a basis: report its randomized SVD
         t0 = time.perf_counter()
         u, sigma, v = power.randsvd(a, saved["Q"])
@@ -134,6 +134,7 @@ def _cmd_run(args) -> int:
         m=m,
         n=n,
         k=args.k,
+        rank=left.shape[1],  # of the approximation judged; rel_err compares it with sigma_(k+1)
         l=spec.l,
         r1=spec.r1,
         r2=spec.r2,

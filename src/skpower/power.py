@@ -14,24 +14,23 @@ Three constructions, all driven by one parameter record
   from a large intermediate Nystrom pair, with the power iteration running
   on the small core matrix.
 
-One engine runs all of them: :func:`_iterates` builds the sketches and the
-start block and yields its state after q = 0, 1, ... steps; the state's
-``elapsed`` is the only record of the algorithm time.  A compressing
-sketch (r1 < n) is powered on a small r1 x r1 core, ``(A S)^T (A S)`` or,
-for Nystrom, ``S^T A S``: after one Gram, a step costs r1^2 r2
-multiply-adds instead of the 2 m r1 r2 of the pair ``A S ((A S)^T Y)``,
-which only the identity-sketch baselines still step (see
-:func:`power_iterate`).  A method of ``_METHODS`` (the five names the
-library, ``skpower run`` and ``skpower bench`` share) says what the engine
-powers, how its factors are assembled and the thin pair ``L @ R`` they
-approximate A by.  The public functions
-advance the engine to ``spec.q`` and assemble; the benchmark steps it one
-iterate at a time, so its ``time_ms`` (the ``sketch`` and ``power`` stages:
-sketch build and apply, start block and first product at q = 0, then per
-step one stabilization and core product, the Gram at the first, and the
-block ``Y = A S z``; the secondary sketch, the assembly and the error
-evaluation excluded) comes from the same code and clock that the library
-runs.
+One engine runs all of them: :func:`_iterates` validates the spec a method
+runs, then builds the sketches and the start block and yields its state
+after q = 0, 1, ... steps; the state's ``elapsed`` is the only record of
+the algorithm time.  A compressing sketch (r1 < n) is powered on a small
+r1 x r1 core, ``(A S)^T (A S)`` or, for Nystrom, ``S^T A S``: after one
+Gram, a step costs r1^2 r2 multiply-adds instead of the 2 m r1 r2 of the
+pair ``A S ((A S)^T Y)``, which only the identity-sketch baselines still
+step (see :func:`power_iterate`).  A method of ``_METHODS`` (the five names
+the library, ``skpower run`` and ``skpower bench`` share) says what the
+engine powers, how its factors are assembled and the thin pair ``L @ R``
+they approximate A by.  The public functions advance the engine to
+``spec.q`` and assemble; the benchmark steps it one iterate at a time, so
+its ``time_ms`` (the ``sketch`` and ``power`` stages: sketch build and
+apply, start block and first product at q = 0, then per step one
+stabilization and core product, the Gram at the first, and the block
+``Y = A S z``; the secondary sketch, the assembly and the error evaluation
+excluded) comes from the same code and clock that the library runs.
 
 Seeds: the primary sketch uses substream 0 of ``spec.seed``, the Gaussian
 start block substream 1, and the secondary regression sketch substream 2,
@@ -177,6 +176,7 @@ def _draw_omega(rows: int, cols: int, seed: int) -> np.ndarray:
 class _Iterate:
     """The engine's state after ``q`` steps: everything an assembly reads."""
 
+    spec: RangeFinderSpec  # the spec the method runs
     q: int
     atil: np.ndarray  # A S (A itself under the identity sketch)
     elapsed: dict[str, float]  # seconds per stage so far
@@ -186,17 +186,32 @@ class _Iterate:
     s2: SketchOperator | None = None  # secondary sketch of the regression
     s2a: np.ndarray | None = None  # S2.T A
 
-    def step(self, stabilized: bool) -> None:
+    def step(self) -> None:
         """One power step: on the core when there is one, else the textbook pair."""
         if self.z is None:
-            self.y = _pair(self.atil, self.y, stabilized)
+            self.y = _pair(self.atil, self.y, self.spec.stabilized)
             return
         if self.core is None:  # the Gram, formed once, at the first step
             self.core = self.atil.T @ self.atil
-        self.z = _core_step(self.core, self.z, stabilized)
+        self.z = _core_step(self.core, self.z, self.spec.stabilized)
 
 
-def _iterates(a: np.ndarray, spec: RangeFinderSpec, entry: _Method):
+def _checked(a, methods) -> np.ndarray:
+    """``a`` as a validated matrix, checked symmetric psd if one of ``methods`` powers the Nystrom core."""
+    a = as_matrix(a, "a")
+    if any(_METHODS[method].core for method in methods):
+        _check_psd(a)  # looked up at call time, so a wrapper installed on power._check_psd sees the call
+    return a
+
+
+def _iterates(a: np.ndarray, spec: RangeFinderSpec, method: str):
+    """:func:`_steps` of ``method`` on a checked ``a``; the spec it runs, ``state.spec``, is validated now."""
+    spec = _method_spec(method, spec, a.shape[1])
+    spec.validate(*a.shape)
+    return _steps(a, spec, _METHODS[method])
+
+
+def _steps(a: np.ndarray, spec: RangeFinderSpec, entry: _Method):
     """Yield the state after ``spec.q``, ``spec.q + 1``, ... steps.
 
     A compressing primary sketch (``r1 < n``) is powered on its r1 x r1
@@ -212,7 +227,7 @@ def _iterates(a: np.ndarray, spec: RangeFinderSpec, entry: _Method):
     sketch build and apply, ``power`` the start-block draw and every step
     (the first product for the ``A S`` iteration), and ``regression`` the
     secondary sketch ``S2.T A``, built once, before anything else.  The
-    state is updated in place.  ``a`` and ``spec`` are taken as validated.
+    state is updated in place.
     """
     m, n = a.shape
     t0 = time.perf_counter()
@@ -224,7 +239,7 @@ def _iterates(a: np.ndarray, spec: RangeFinderSpec, entry: _Method):
         s2a = s2.apply_left_transpose(a)
     t_s2 = time.perf_counter()
     sketch = make_sketch(spec.sketch_kind, n, spec.r1, substream(spec.seed, 0), s=spec.s)
-    state = _Iterate(spec.q, sketch.apply_right(a), {}, s2=s2, s2a=s2a)
+    state = _Iterate(spec, spec.q, sketch.apply_right(a), {}, s2=s2, s2a=s2a)
     if entry.core:
         wtil = sketch.apply_left_transpose(state.atil)
         state.core = (wtil + wtil.T) / 2.0  # kill rounding asymmetry before powering
@@ -235,7 +250,7 @@ def _iterates(a: np.ndarray, spec: RangeFinderSpec, entry: _Method):
     else:
         state.y = state.atil @ omega
     for _ in range(spec.q):
-        state.step(spec.stabilized)
+        state.step()
     expose = state.z is not None and not entry.core  # Y = atil @ z at every yield
     if expose:
         state.y = state.atil @ state.z
@@ -246,7 +261,7 @@ def _iterates(a: np.ndarray, spec: RangeFinderSpec, entry: _Method):
     while True:
         yield state
         t0 = time.perf_counter()
-        state.step(spec.stabilized)
+        state.step()
         if expose:
             state.y = state.atil @ state.z
         state.elapsed["power"] += time.perf_counter() - t0
@@ -277,9 +292,8 @@ class _Method(NamedTuple):
     # (A, factors) -> thin (L, R) with A ~= L @ R, the approximation its error is measured on
     low_rank: Callable[[np.ndarray, dict], tuple[np.ndarray, np.ndarray]]
     sketched: bool = True  # False: the identity primary sketch, r1 = n (a classical baseline)
-    core: bool = False  # power the Nystrom core S.T A S rather than A S
+    core: bool = False  # power the Nystrom core S.T A S rather than A S: needs a symmetric psd input
     regression: bool = False  # build the secondary sketch S2.T A
-    check: Callable[[np.ndarray], None] | None = None  # input check, once per matrix
 
     @property
     def applies_sketch(self) -> bool:
@@ -305,10 +319,7 @@ _METHODS = {
     "lowrank-factorize-unsketched": _Method(
         _regression, "regression", _product, sketched=False, regression=True
     ),
-    # looked up at call time, so a wrapper installed on power._check_psd sees the call
-    "nystrom": _Method(
-        _contraction, "contract", _nystrom_product, core=True, check=lambda a: _check_psd(a)
-    ),
+    "nystrom": _Method(_contraction, "contract", _nystrom_product, core=True),
 }
 
 
@@ -329,21 +340,16 @@ def _method_spec(method: str, spec: RangeFinderSpec, n: int) -> RangeFinderSpec:
     )
 
 
-def _advance(a, spec: RangeFinderSpec, method: str) -> tuple[dict[str, np.ndarray], dict[str, float]]:
-    """Run ``method`` to ``spec.q`` and assemble: ``(factors, elapsed seconds per stage)``."""
+def _advance(a, spec: RangeFinderSpec, method: str) -> tuple[dict, dict[str, float], RangeFinderSpec]:
+    """Run ``method`` to ``spec.q`` and assemble: ``(factors, elapsed seconds per stage, spec run)``."""
     entry = _METHODS[method]
-    a = as_matrix(a, "a")
-    if entry.check is not None:
-        entry.check(a)
-    spec.validate(*a.shape)
-    state = next(_iterates(a, spec, entry))
+    state = next(_iterates(_checked(a, [method]), spec, method))
     if not entry.core:  # the assembly reads Y (and S2): free A S and its Gram before it runs
         state.atil = state.core = None
     t0 = time.perf_counter()
     factors = entry.assemble(state)
-    elapsed = state.elapsed
-    elapsed[entry.stage] = elapsed.get(entry.stage, 0.0) + time.perf_counter() - t0
-    return factors, elapsed
+    state.elapsed[entry.stage] = state.elapsed.get(entry.stage, 0.0) + time.perf_counter() - t0
+    return factors, state.elapsed, state.spec
 
 
 def range_finder_sketched(a, spec: RangeFinderSpec) -> np.ndarray:
@@ -366,7 +372,7 @@ def range_finder_classical(
     a = as_matrix(a, "a")
     m, n = a.shape
     spec = RangeFinderSpec(k=k, l=min(m, n), r1=n, r2=r2, q=q, eps=0.5, seed=seed, stabilized=stabilized)
-    return _advance(a, _method_spec("classical-randsvd", spec, n), "classical-randsvd")[0]["Q"]
+    return _advance(a, spec, "classical-randsvd")[0]["Q"]
 
 
 def randsvd(a, q_basis) -> SvdResult:
@@ -388,7 +394,7 @@ def lowrank_factorize(a, spec: RangeFinderSpec) -> FactorizationResult:
     regression ``(S2.T Y)^+ (S2.T a)`` with an independent second sketch on
     the row space, avoiding the dense Q.T a product of randomized SVD.
     """
-    factors, elapsed = _advance(a, spec, "lowrank-factorize")
+    factors, elapsed, _ = _advance(a, spec, "lowrank-factorize")
     return FactorizationResult(**factors, elapsed=elapsed)
 
 
@@ -401,5 +407,5 @@ def nystrom_psd(a, spec: RangeFinderSpec) -> NystromResult:
     ``spec.stabilized``), and contracts to C = C~ Y, W = Y.T W~ Y.  The
     implied approximation is symmetric psd.
     """
-    factors, elapsed = _advance(a, spec, "nystrom")
+    factors, elapsed, _ = _advance(a, spec, "nystrom")
     return NystromResult(**factors, elapsed=elapsed)

@@ -1,10 +1,12 @@
 import ast
+import dataclasses
 import pathlib
 
 import numpy as np
 import pytest
 
 import skpower.bench as bench_mod
+import skpower.power as power_mod
 from conftest import psd_polydecay, random_psd
 from skpower.bench import (
     METHODS,
@@ -15,7 +17,7 @@ from skpower.bench import (
     run_benchmark,
 )
 from skpower.data_io import load_matrix, read_records_csv, write_binary
-from skpower.linalg import pinv
+from skpower.linalg import pinv, psd_eigenvalues
 from skpower.power import (
     RangeFinderSpec,
     lowrank_factorize,
@@ -71,8 +73,6 @@ class TestConfig:
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError, match="unknown method"):
             small_config(tmp_path, methods=["bogus"]).validate()
-        with pytest.raises(ValueError, match="l must be >= k"):
-            small_config(tmp_path, l_values=[4]).validate()
 
     def test_per_method_q_max_defaults(self, tmp_path):
         cfg = small_config(tmp_path, q_max=None)
@@ -261,14 +261,79 @@ def test_replay_record_regenerates_classical_and_nystrom_rows(tmp_path):
 
 def test_bench_builds_no_sketch_start_block_or_basis():
     # sketches, start blocks and stabilization live in power.py only; bench
-    # steps the engine and evaluates errors
-    banned = {"make_sketch", "orthonormalize", "apply_right", "apply_left_transpose", "densify"}
-    path = pathlib.Path(bench_mod.__file__)
+    # steps the engine and evaluates errors.  Neither bench nor the cli derives
+    # a method's spec or checks its input: the engine's start does both.
+    start = {"_method_spec", "_check_psd"}
+    banned = {
+        "bench.py": {"make_sketch", "orthonormalize", "apply_right", "apply_left_transpose", "densify"} | start,
+        "cli.py": start,
+    }
     calls = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in banned:
-                calls.append(f"{name}:{node.lineno}")
+    for filename, names in banned.items():
+        path = pathlib.Path(bench_mod.__file__).with_name(filename)
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in names:
+                    calls.append(f"{filename}:{name}:{node.lineno}")
     assert calls == []
+
+
+@pytest.mark.parametrize("l_values", [[50], [3], [8, 50]])
+def test_series_spec_rejected_before_the_profile_and_the_csv(tmp_path, monkeypatch, l_values):
+    # l above min(m, n) = 40 or below k = 4, also after a valid series: no series runs
+    def no_profile(cls, a):
+        raise AssertionError("the profile was computed for a rejected spec")
+
+    monkeypatch.setattr(bench_mod.SpectralProfile, "from_matrix", classmethod(no_profile))
+    cfg = small_config(
+        tmp_path, dataset="polydecay:60x40:seed=1", methods=["sketched-randsvd"], k=4,
+        l_values=l_values, q_max=1, trials=1,
+    )
+    with pytest.raises(ValueError, match=r"need 1 <= k <= l <= min\(m, n\)"):
+        run_benchmark(cfg)
+    assert not pathlib.Path(cfg.output_path).exists()
+
+
+def _one_record(tmp_path, dataset, method):
+    cfg = small_config(tmp_path, dataset=dataset, methods=[method], k=4, l_values=[10], q_max=0, trials=1)
+    return run_benchmark(cfg)[0]
+
+
+def test_replay_record_checks_the_row_and_the_matrix(tmp_path):
+    a = load_matrix("polydecay:60x40:seed=1")
+    rec = _one_record(tmp_path, "polydecay:60x40:seed=1", "sketched-randsvd")
+    with pytest.raises(ValueError, match="q must be >= 0"):
+        replay_record(a, dataclasses.replace(rec, q_iter=-1))
+    with pytest.raises(ValueError, match=r"need 1 <= k <= l <= min\(m, n\)"):
+        replay_record(a, dataclasses.replace(rec, l=41))
+    bad = a.copy()
+    bad[3, 5] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        replay_record(bad, rec)
+    path = tmp_path / "psd.skpw"
+    write_binary(psd_polydecay(40, seed=2), path)
+    nys = _one_record(tmp_path, str(path), "nystrom")
+    gaussian = np.random.default_rng(3).standard_normal((40, 40))
+    with pytest.raises(ValueError, match="not symmetric"):
+        replay_record(gaussian, nys)
+    with pytest.raises(ValueError, match="not psd"):
+        replay_record(-load_matrix(str(path)), nys)
+
+
+def test_psd_check_runs_once_per_benchmark(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return psd_eigenvalues(a)
+
+    monkeypatch.setattr(power_mod, "_check_psd", counted)
+    path = tmp_path / "psd.skpw"
+    write_binary(psd_polydecay(40, seed=5), path)
+    cfg = small_config(
+        tmp_path, dataset=str(path), methods=["nystrom"], k=4, l_values=[10, 15], q_max=1, trials=3,
+    )
+    assert len(run_benchmark(cfg)) == 2 * 3 * 2
+    assert calls == [(40, 40)]

@@ -272,6 +272,32 @@ class TestRun:
         values = parse_kv(out)
         assert values["rel_err"] == "nan" and float(values["spec_err"]) >= 0.0
 
+    @pytest.mark.parametrize("r2, rank", [(None, 20), ("10", 10)])
+    def test_prints_the_rank_rel_err_judges(self, capsys, r2, rank):
+        # r2 = 2k by default: a rank-2k approximation's residual can fall below sigma_(k+1)
+        argv = ["run", "--data", "polydecay:400x200:seed=1", "--method", "sketched-randsvd",
+                "--k", "10", "--l", "40", "--seed", "2"]
+        code, out, _ = run_cli(capsys, *argv, *(["--r2", r2] if r2 else []))
+        assert code == 0
+        values = parse_kv(out)
+        assert values["rank"] == str(rank)
+        if rank > 10:
+            assert float(values["rel_err"]) < 0.0
+        else:  # the exact norm of a rank-k residual is at least sigma_(k+1)
+            assert float(values["rel_err"]) >= -1e-12
+
+    def test_non_psd_nystrom_input_fails_before_the_profile(self, capsys, monkeypatch):
+        import skpower.cli as cli_mod
+
+        def no_profile(cls, a):
+            raise AssertionError("the profile was computed for a rejected input")
+
+        monkeypatch.setattr(cli_mod.diagnostics.SpectralProfile, "from_matrix", classmethod(no_profile))
+        code, _, err = run_cli(
+            capsys, "run", "--data", "polydecay:40x40:seed=1", "--method", "nystrom", "--k", "4", "--l", "8",
+        )
+        assert code == 2 and "not symmetric" in err
+
     def test_missing_file_is_runtime_error(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "--data", "/nonexistent.skpw", "--method", "nystrom", "--k", "2"
@@ -401,6 +427,16 @@ class TestBench:
         assert [float(line[5].split("=")[1]) for line in done] == [
             pytest.approx(last[key].time_ms, abs=0.06) for key in series
         ]
+
+    @pytest.mark.parametrize("l", ["50", "3"])
+    def test_l_outside_k_to_min_dimension_is_rejected(self, tmp_path, capsys, l):
+        out_csv = tmp_path / "over.csv"
+        code, _, err = run_cli(
+            capsys, "bench", "--data", "polydecay:60x40:seed=1", "--methods", "sketched-randsvd",
+            "--k", "4", "--l-values", l, "--out", str(out_csv),
+        )
+        assert code == 2 and "need 1 <= k <= l <= min(m, n)" in err
+        assert not out_csv.exists()
 
     def test_missing_dataset_is_error(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--k", "4")

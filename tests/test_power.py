@@ -132,7 +132,7 @@ class TestCorePath:
             lowrank_factorize(a, spec)
             nystrom_psd(a, spec)
             for method in ("sketched-randsvd", "lowrank-factorize", "nystrom"):  # stepped, as in bench
-                list(islice(power._iterates(a, replace(spec, q=0), power._METHODS[method]), 4))
+                list(islice(power._iterates(a, replace(spec, q=0), method), 4))
 
     @pytest.mark.parametrize("stabilized", [True, False])
     def test_identity_sketch_keeps_textbook_pair(self, stabilized):
@@ -147,8 +147,7 @@ class TestCorePath:
             range_finder_classical(a, 4, 8, 3, seed=36, stabilized=stabilized), orthonormalize(expected)
         )
         np.testing.assert_array_equal(lowrank_factorize(a, spec).Y, expected)
-        entry = power._METHODS["lowrank-factorize-unsketched"]
-        for state in islice(power._iterates(a, replace(spec, q=0), entry), 4):
+        for state in islice(power._iterates(a, replace(spec, q=0), "lowrank-factorize-unsketched"), 4):
             np.testing.assert_array_equal(state.y, power_iterate(a, omega, state.q, stabilized))
 
 
