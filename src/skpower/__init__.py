@@ -52,6 +52,7 @@ from .power import (
 )
 from .diagnostics import (
     BoundReport,
+    MatrixGram,
     SpectralProfile,
     approximation_error_bound,
     approximation_residuals,
@@ -60,6 +61,7 @@ from .diagnostics import (
     estimated_approximation_residuals,
     estimated_projection_residuals,
     gaussian_rangefinder_bound,
+    matrix_gram,
     powered_rangefinder_bound,
     powered_tail_level,
     powered_tail_report,

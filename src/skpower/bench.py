@@ -28,11 +28,19 @@ would only blur the comparison.
 
 Error metrics go through :mod:`skpower.diagnostics`, on the residual
 ``A - L R`` of the thin factors each method's ``low_rank`` gives (``Q`` and
-``Q^T A``, ``Y`` and ``X``, ``C`` and ``W^+ C^T``): its spectral norm
-is estimated by a seeded block Krylov iteration (a lower bound, stopped at
-relative change 1e-6), its Frobenius norm is exact, and ``rel_err`` is
-:func:`~skpower.diagnostics.relative_error`, residual / sigma_{k+1} - 1
-against the full-SVD profile of the dataset (computed once, untimed).
+``Q^T A``, ``Y`` and ``X``, ``C`` and ``W^+ C^T``), without forming it.
+With a thin QR ``L = Q T``, ``B = Q^T A`` and ``D = B - T R``, its squared
+Frobenius norm is ``||A||_F^2 - ||B||_F^2 + ||D||_F^2``, and its spectral
+norm is the square root of the top eigenvalue of ``A^T A - B^T B + D^T D``,
+estimated by a seeded block Krylov iteration (a lower bound, stopped at
+relative change 1e-6).  The Gram ``A^T A`` (of the smaller side) and
+``||A||_F^2`` are formed once per run, untimed.  Where the differences
+would cancel beyond the estimator's accuracy (an input that is almost
+exactly of low rank), the residual is formed and its norms taken from it.
+``rel_err`` is :func:`~skpower.diagnostics.relative_error`, residual /
+sigma_{k+1} - 1 against the profile of the dataset (the absolute
+eigenvalues of an exactly symmetric matrix, else a full SVD; computed once,
+untimed).
 
 Every row is regenerable: :func:`replay_record` reruns the row's
 (method, parameters, seed, q) combination and returns the same errors.
@@ -48,9 +56,11 @@ from itertools import islice
 from . import data_io
 from .data_io import TrialRecord
 from .diagnostics import (
+    MatrixGram,
     SpectralProfile,
     estimated_approximation_residuals,
     estimated_projection_residuals,  # not called here; a binding the perfbench tracer wraps
+    matrix_gram,
     relative_error,
 )
 from .linalg import orthonormalize, pinv  # not called here; bindings the perfbench tracer wraps
@@ -162,20 +172,20 @@ def _series(a, method: str, k: int, l: int, q: int, seed: int, **params):
     return _iterates(a, RangeFinderSpec(k=k, l=l, r1=l, r2=k, q=q, seed=seed, **params), method)
 
 
-def _errors(a, entry, state, profile: SpectralProfile):
+def _errors(a, entry, state, profile: SpectralProfile, gram: MatrixGram):
     """``(spec_err, frob_err, rel_err)`` of the factors ``entry`` assembles from ``state``."""
     left, right = entry.low_rank(a, entry.assemble(state))
     seed = substream(state.spec.seed, _ERR_STREAM, state.q)
-    norm, frob = estimated_approximation_residuals(a, left, right, seed=seed)
+    norm, frob = estimated_approximation_residuals(a, left, right, seed=seed, gram=gram)
     return norm, frob, relative_error(norm, profile, state.spec.k)
 
 
-def _run_series(a, profile, cfg: BenchConfig, method: str, trial: int, states):
+def _run_series(a, profile, gram, cfg: BenchConfig, method: str, trial: int, states):
     entry = _METHODS[method]
     countsketch = cfg.sketch_kind == "countsketch" and entry.applies_sketch
     rows = []
     for state in islice(states, cfg.q_max_for(method) + 1):
-        spec_err, frob, rel = _errors(a, entry, state, profile)
+        spec_err, frob, rel = _errors(a, entry, state, profile, gram)
         rows.append(
             TrialRecord(
                 method=method,
@@ -213,7 +223,7 @@ def replay_record(a, rec: TrialRecord, sketch_kind: str = "countsketch"):
         a, rec.method, rec.k, rec.l, rec.q_iter, rec.seed, eps=rec.eps, sketch_kind=sketch_kind,
         s=rec.s if rec.s else 1,
     )
-    return _errors(a, _METHODS[rec.method], next(states), SpectralProfile.from_matrix(a))
+    return _errors(a, _METHODS[rec.method], next(states), SpectralProfile.from_matrix(a), matrix_gram(a))
 
 
 def run_benchmark(cfg: BenchConfig, progress=None) -> list[TrialRecord]:
@@ -236,6 +246,7 @@ def run_benchmark(cfg: BenchConfig, progress=None) -> list[TrialRecord]:
     ]
     profile = SpectralProfile.from_matrix(a)
     relative_error(0.0, profile, cfg.k)  # fail before the first series if sigma_(k+1) is missing or zero
+    gram = matrix_gram(a)  # once per run: every error point reuses it
 
     def rows(results):
         for series in results:
@@ -244,6 +255,6 @@ def run_benchmark(cfg: BenchConfig, progress=None) -> list[TrialRecord]:
                 progress(series[-1])
 
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        run = lambda task: _run_series(a, profile, cfg, *task)
+        run = lambda task: _run_series(a, profile, gram, cfg, *task)
         results = pool.map(run, tasks) if cfg.workers > 1 else map(run, tasks)
         return data_io.write_records_csv(rows(results), cfg.output_path)

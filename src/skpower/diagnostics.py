@@ -5,13 +5,23 @@ package reports: the norms (exact and estimated) of the residual
 ``A - L R`` of a method's factors, the regularized-spectral-approximation
 certifier, and closed-form evaluators for the error bounds that the
 sketched power method is expected to meet.
+
+The estimated norms never form the m x n residual.  A thin QR of the left
+factor gives its Frobenius norm from three sums of squares, and its
+spectral norm from a symmetric operator built on the Gram ``A.T A`` of the
+matrix's smaller side, which :func:`matrix_gram` forms once per matrix.
+Where those differences would cancel beyond the estimator's tolerance, the
+residual is formed after all.  A profile of an exactly symmetric matrix
+comes from its eigenvalues instead of a full SVD.
 Bound evaluations are returned as :class:`BoundReport` rows so the
 constants actually used are recorded next to the verdict.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import logsumexp
@@ -29,6 +39,12 @@ _KRYLOV_BLOCK = 4
 _KRYLOV_ROWS = 32
 _DEFLATION = np.sqrt(np.finfo(np.float64).eps)
 _ESTIMATOR_TOL = 1e-6  # relative change between steps at which the estimate stops
+_KRYLOV_MAX_STEPS = 1000
+# the thin form of a residual is used while its cancellation, about eps ||A||_F^2,
+# is at most tol^2 of the squared Frobenius norm: that norm then moves by rounding
+# only, and the spectral norm by at most tol^2 min(m, n) relative, below tol
+_EPS = np.finfo(np.float64).eps
+_THIN_LOSS = _ESTIMATOR_TOL**2
 
 
 @dataclass(frozen=True)
@@ -55,9 +71,18 @@ class SpectralProfile:
 
     @classmethod
     def from_matrix(cls, a) -> "SpectralProfile":
-        """Singular-value profile of a dense matrix (full SVD)."""
+        """Singular-value profile of a dense matrix.
+
+        An exactly symmetric matrix takes its absolute eigenvalues, sorted
+        descending (about half the time of the full SVD every other matrix
+        takes); the rule reads ``a`` alone, so every caller gets the same values.
+        """
         a = as_matrix(a, "a")
-        return cls(values=np.linalg.svd(a, compute_uv=False), shape=a.shape)
+        if a.shape[0] == a.shape[1] and np.array_equal(a, a.T):
+            values = np.sort(np.abs(np.linalg.eigvalsh(a)))[::-1]
+        else:
+            values = np.linalg.svd(a, compute_uv=False)
+        return cls(values=values, shape=a.shape)
 
     @classmethod
     def from_psd(cls, a) -> "SpectralProfile":
@@ -168,7 +193,53 @@ def _extend(basis, y) -> np.ndarray:
     return rows - (rows @ basis.T) @ basis
 
 
-def estimate_spectral_norm(a, tol: float = _ESTIMATOR_TOL, max_iter: int = 1000, seed: int = 0) -> float:
+def _golub_kahan(product, product_rows, shape, tol: float, max_iter: int, seed: int) -> float:
+    """Largest singular value of an m x n operator X by block Golub-Kahan-Lanczos iteration.
+
+    ``product(x)`` is ``X @ x`` for an n-column block x (n x b) and
+    ``product_rows(q)`` is ``q @ X`` for rows q (r x m); see
+    :func:`estimate_spectral_norm` for the iteration and its stopping rules.
+    """
+    if tol < 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    m, n = shape
+    y = product(_rng(seed).standard_normal((n, _KRYLOV_BLOCK))).T
+    # the bases Q and Z = Q X are kept as rows, so each reorthogonalization
+    # reads a contiguous block; they grow by doubling as steps are taken
+    rows = _KRYLOV_ROWS
+    qbasis, zbasis, gram = np.empty((rows, m)), np.empty((rows, n)), np.empty((rows, rows))
+    k, sigma = 0, 0.0
+    for _ in range(max_iter):
+        q = _extend(qbasis[:k], y)
+        r = len(q)
+        if r == 0:
+            break
+        if k + r > rows:
+            rows = max(2 * rows, k + r)
+            qbasis = np.concatenate((qbasis[:k], np.empty((rows - k, m))))
+            zbasis = np.concatenate((zbasis[:k], np.empty((rows - k, n))))
+            grown = np.empty((rows, rows))
+            grown[:k, :k] = gram[:k, :k]
+            gram = grown
+        z = product_rows(q)
+        qbasis[k : k + r], zbasis[k : k + r] = q, z
+        gram[k : k + r, : k + r] = z @ zbasis[: k + r].T
+        gram[:k, k : k + r] = gram[k : k + r, :k].T
+        k += r
+        estimate = float(np.sqrt(max(np.linalg.eigvalsh(gram[:k, :k])[-1], 0.0)))
+        converged = abs(estimate - sigma) <= tol * estimate
+        sigma = estimate
+        if converged:
+            break
+        y = product(np.ascontiguousarray(z.T)).T
+    return sigma
+
+
+def estimate_spectral_norm(
+    a, tol: float = _ESTIMATOR_TOL, max_iter: int = _KRYLOV_MAX_STEPS, seed: int = 0
+) -> float:
     """Spectral norm of ``a`` by block Golub-Kahan-Lanczos (block Krylov) iteration.
 
     Golub & Kahan (1965) in the block form of Golub, Luk & Overton (1981),
@@ -192,67 +263,110 @@ def estimate_spectral_norm(a, tol: float = _ESTIMATOR_TOL, max_iter: int = 1000,
     and one of ``a.T`` with a block.
     """
     a = as_matrix(a, "a")
-    if tol < 0.0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    m, n = a.shape
     # blocks are products with a on the left: at this width ``x @ a.T``
     # takes about twice as long as ``a @ x.T`` with x.T contiguous
-    y = (a @ _rng(seed).standard_normal((n, _KRYLOV_BLOCK))).T
-    # the bases Q and Z = Q a are kept as rows, so each reorthogonalization
-    # reads a contiguous block; they grow by doubling as steps are taken
-    rows = _KRYLOV_ROWS
-    qbasis, zbasis, gram = np.empty((rows, m)), np.empty((rows, n)), np.empty((rows, rows))
-    k, sigma = 0, 0.0
-    for _ in range(max_iter):
-        q = _extend(qbasis[:k], y)
-        r = len(q)
-        if r == 0:
-            break
-        if k + r > rows:
-            rows = max(2 * rows, k + r)
-            qbasis = np.concatenate((qbasis[:k], np.empty((rows - k, m))))
-            zbasis = np.concatenate((zbasis[:k], np.empty((rows - k, n))))
-            grown = np.empty((rows, rows))
-            grown[:k, :k] = gram[:k, :k]
-            gram = grown
-        z = q @ a
-        qbasis[k : k + r], zbasis[k : k + r] = q, z
-        gram[k : k + r, : k + r] = z @ zbasis[: k + r].T
-        gram[:k, k : k + r] = gram[k : k + r, :k].T
-        k += r
-        estimate = float(np.sqrt(max(np.linalg.eigvalsh(gram[:k, :k])[-1], 0.0)))
-        converged = abs(estimate - sigma) <= tol * estimate
-        sigma = estimate
-        if converged:
-            break
-        y = (a @ np.ascontiguousarray(z.T)).T
-    return sigma
+    return _golub_kahan(lambda x: a @ x, lambda q: q @ a, a.shape, tol, max_iter, seed)
+
+
+class MatrixGram(NamedTuple):
+    """The Gram of a matrix's smaller side and its squared Frobenius norm (:func:`matrix_gram`)."""
+
+    gram: np.ndarray  # A.T @ A (n x n) when m >= n, else A @ A.T (m x m)
+    frob2: float  # ||A||_F^2
+
+
+def _squared_norm(a: np.ndarray) -> float:
+    return float(np.vdot(a, a))
+
+
+def matrix_gram(a) -> MatrixGram:
+    """:class:`MatrixGram` of ``a``: formed once per matrix, it serves every
+    :func:`estimated_approximation_residuals` call on it."""
+    a = as_matrix(a, "a")
+    side = a.T if a.shape[0] < a.shape[1] else a
+    return MatrixGram(side.T @ side, _squared_norm(a))
 
 
 def _residual(a, left, right) -> np.ndarray:
-    """``a - left @ right``: the one place a method's residual is formed."""
+    """``a - left @ right``, formed only where the thin form cancels (:func:`_thin`) or the exact norm needs it."""
+    a, left, right = _operands(a, left, right)
+    return a - left @ right
+
+
+def _operands(a, left, right) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a = as_matrix(a, "a")
     left, right = as_matrix(left, "left"), as_matrix(right, "right")
     if left.shape[0] != a.shape[0] or right.shape[1] != a.shape[1] or left.shape[1] != right.shape[0]:
         raise ValueError(f"shape mismatch: a is {a.shape}, factors are {left.shape} and {right.shape}")
-    return a - left @ right
+    return a, left, right
+
+
+class _Thin(NamedTuple):
+    a: np.ndarray  # A on the side of its Gram: A.T when A is wide
+    b: np.ndarray  # Q.T A, with L = Q T
+    d: np.ndarray  # B - T R
+    frob: float  # ||A - L R||_F
+
+
+def _thin(a, left, right, frob2: float | None = None) -> _Thin | None:
+    """``A - L R`` from its thin factors, or None where that form cancels too much.
+
+    On the side of the Gram (a wide A is transposed, and L and R swap to
+    R.T and L.T), a thin QR ``L = Q T`` splits the residual into the
+    orthogonal parts ``(I - Q Q.T) A`` and ``Q D``, with ``B = Q.T A`` and
+    ``D = B - T R``.  So ``||A - L R||_F^2 = ||A||_F^2 - ||B||_F^2 + ||D||_F^2``
+    and ``(A - L R).T (A - L R) = A.T A - B.T B + D.T D``, and neither needs
+    the m x n residual.  Both differences lose about ``eps ||A||_F^2``;
+    returns None unless that is at most ``_THIN_LOSS`` of the squared
+    residual.  ``frob2`` is ``||A||_F^2`` when the caller has it.
+    """
+    a, left, right = _operands(a, left, right)
+    if frob2 is None:
+        frob2 = _squared_norm(a)
+    if a.shape[0] < a.shape[1]:
+        a, left, right = a.T, right.T, left.T
+    q, t = np.linalg.qr(left)
+    b = q.T @ a
+    d = b - t @ right
+    resid2 = frob2 - _squared_norm(b) + _squared_norm(d)
+    if not _EPS * frob2 <= _THIN_LOSS * resid2:  # also a non-positive resid2
+        return None
+    return _Thin(a, b, d, math.sqrt(resid2))
 
 
 def approximation_residuals(a, left, right) -> tuple[float, float]:
-    """Exact (spectral, Frobenius) norms of ``a - left @ right``."""
+    """Exact (spectral, Frobenius) norms of ``a - left @ right``: the spectral
+    from a full SVD, the Frobenius as :func:`estimated_approximation_residuals` gives it."""
+    thin = _thin(a, left, right)
     resid = _residual(a, left, right)
-    return float(np.linalg.norm(resid, 2)), frobenius_norm(resid)
+    return float(np.linalg.norm(resid, 2)), frobenius_norm(resid) if thin is None else thin.frob
 
 
 def estimated_approximation_residuals(
-    a, left, right, tol: float = _ESTIMATOR_TOL, seed: int = 0
+    a, left, right, tol: float = _ESTIMATOR_TOL, seed: int = 0, gram: MatrixGram | None = None
 ) -> tuple[float, float]:
-    """Like :func:`approximation_residuals`, with the spectral norm from :func:`estimate_spectral_norm`
-    (block Krylov iteration at relative tolerance ``tol``, a lower bound) instead of a full SVD."""
-    resid = _residual(a, left, right)
-    return estimate_spectral_norm(resid, tol=tol, seed=seed), frobenius_norm(resid)
+    """(spectral, Frobenius) norms of ``a - left @ right`` without forming it.
+
+    Both come from the thin form of :func:`_thin`.  The spectral norm is the
+    square root of the largest eigenvalue of the symmetric operator
+    ``A.T A - B.T B + D.T D``, estimated by the block Krylov iteration of
+    :func:`estimate_spectral_norm` (at relative tolerance ``tol``; a lower
+    bound) with the Gram ``gram`` (``matrix_gram(a)``, formed here when not
+    given).  Where the thin form would cancel, the residual is formed
+    instead, and its norms are :func:`estimate_spectral_norm` and the exact
+    Frobenius norm.
+    """
+    thin = _thin(a, left, right, None if gram is None else gram.frob2)
+    if thin is None:
+        resid = _residual(a, left, right)
+        return estimate_spectral_norm(resid, tol=tol, seed=seed), frobenius_norm(resid)
+    g = thin.a.T @ thin.a if gram is None else gram.gram
+    if g.shape != (thin.a.shape[1],) * 2:
+        raise ValueError(f"gram is {g.shape}, the Gram of a {thin.a.shape} matrix is not")
+    b, d = thin.b, thin.d
+    product = lambda x: g @ x - b.T @ (b @ x) + d.T @ (d @ x)
+    product_rows = lambda q: q @ g - (q @ b.T) @ b + (q @ d.T) @ d
+    return math.sqrt(_golub_kahan(product, product_rows, g.shape, tol, _KRYLOV_MAX_STEPS, seed)), thin.frob
 
 
 def projection_residuals(a, q_basis) -> tuple[float, float]:
@@ -416,6 +530,7 @@ def relative_error(residual_spectral: float, profile: SpectralProfile, k: int) -
 
 __all__ = [
     "BoundReport",
+    "MatrixGram",
     "SpectralProfile",
     "approximation_error_bound",
     "approximation_residuals",
@@ -424,6 +539,7 @@ __all__ = [
     "estimated_approximation_residuals",
     "estimated_projection_residuals",
     "gaussian_rangefinder_bound",
+    "matrix_gram",
     "powered_rangefinder_bound",
     "powered_tail_level",
     "powered_tail_report",

@@ -48,7 +48,7 @@ import numpy as np
 
 from .linalg import as_matrix, orthonormal_projection, orthonormalize, pinv, span_basis, thin_svd, SvdResult
 from .linalg import psd_eigenvalues as _check_psd  # a power binding, for wrappers installed on it
-from .sketching import SketchOperator, make_sketch, substream
+from .sketching import SketchOperator, check_sketch, make_sketch, substream
 
 
 def choose_q(eps: float, m_hat: int) -> int:
@@ -205,10 +205,25 @@ def _checked(a, methods) -> np.ndarray:
 
 
 def _iterates(a: np.ndarray, spec: RangeFinderSpec, method: str):
-    """:func:`_steps` of ``method`` on a checked ``a``; the spec it runs, ``state.spec``, is validated now."""
+    """:func:`_steps` of ``method`` on a checked ``a``.
+
+    The spec it runs, ``state.spec``, and the sketches it builds are validated now, before any work.
+    """
     spec = _method_spec(method, spec, a.shape[1])
     spec.validate(*a.shape)
-    return _steps(a, spec, _METHODS[method])
+    entry = _METHODS[method]
+    for kind, n, r in _sketch_shapes(a.shape, spec, entry):
+        check_sketch(kind, n, r, spec.s)
+    return _steps(a, spec, entry)
+
+
+def _sketch_shapes(shape, spec: RangeFinderSpec, entry: _Method) -> list[tuple[str, int, int]]:
+    """``(kind, n, r)`` of the primary sketch and, for a regression, of the secondary one."""
+    m, n = shape
+    shapes = [(spec.sketch_kind, n, spec.r1)]
+    if entry.regression:
+        shapes.append((spec.s2_kind or spec.sketch_kind, m, spec.s2_r or spec.r1))
+    return shapes
 
 
 def _steps(a: np.ndarray, spec: RangeFinderSpec, entry: _Method):
@@ -229,16 +244,15 @@ def _steps(a: np.ndarray, spec: RangeFinderSpec, entry: _Method):
     secondary sketch ``S2.T A``, built once, before anything else.  The
     state is updated in place.
     """
-    m, n = a.shape
+    n = a.shape[1]
+    primary, *secondary = _sketch_shapes(a.shape, spec, entry)
     t0 = time.perf_counter()
     s2 = s2a = None
-    if entry.regression:  # first, while the least else is alive: a lower peak memory
-        s2 = make_sketch(
-            spec.s2_kind or spec.sketch_kind, m, spec.s2_r or spec.r1, substream(spec.seed, 2), s=spec.s
-        )
+    if secondary:  # first, while the least else is alive: a lower peak memory
+        s2 = make_sketch(*secondary[0], substream(spec.seed, 2), s=spec.s)
         s2a = s2.apply_left_transpose(a)
     t_s2 = time.perf_counter()
-    sketch = make_sketch(spec.sketch_kind, n, spec.r1, substream(spec.seed, 0), s=spec.s)
+    sketch = make_sketch(*primary, substream(spec.seed, 0), s=spec.s)
     state = _Iterate(spec, spec.q, sketch.apply_right(a), {}, s2=s2, s2a=s2a)
     if entry.core:
         wtil = sketch.apply_left_transpose(state.atil)

@@ -127,6 +127,28 @@ def fwht(a: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.matmul(h_big, out.reshape(rows, big, small)).reshape(a.shape)
 
 
+def check_sketch(kind: str, n: int, r: int, s: int | None = None) -> None:
+    """Raise unless ``make_sketch(kind, n, r, seed, s)`` can build its operator.
+
+    The one home of the construction rules, so that a caller can check a
+    sketch before any work: a known kind, ``n, r >= 1``, CountSketch
+    ``1 <= s <= r`` (s defaults to 1), SRHT ``r`` at most the padded ``n``,
+    and identity ``r == n``.
+    """
+    if kind not in SKETCH_KINDS:
+        raise ValueError(f"unknown sketch kind {kind!r}, expected one of {SKETCH_KINDS}")
+    if r < 1:
+        raise ValueError(f"sketch dimension r must be >= 1, got {r}")
+    if n < 1:
+        raise ValueError(f"input dimension n must be >= 1, got {n}")
+    if kind == "countsketch" and not 1 <= (1 if s is None else s) <= r:
+        raise ValueError(f"countsketch needs 1 <= s <= r, got s={s}, r={r}")
+    if kind == "srht" and r > _next_pow2(n):
+        raise ValueError(f"srht needs r <= padded dimension {_next_pow2(n)}, got r={r}")
+    if kind == "identity" and r != n:
+        raise ValueError(f"identity sketch needs r == n, got n={n}, r={r}")
+
+
 class SketchOperator:
     """Immutable seeded linear map from ``n`` to ``r`` coordinates.
 
@@ -137,12 +159,7 @@ class SketchOperator:
     """
 
     def __init__(self, kind: str, n: int, r: int, seed: int, s: int | None = None):
-        if kind not in SKETCH_KINDS:
-            raise ValueError(f"unknown sketch kind {kind!r}, expected one of {SKETCH_KINDS}")
-        if r < 1:
-            raise ValueError(f"sketch dimension r must be >= 1, got {r}")
-        if n < 1:
-            raise ValueError(f"input dimension n must be >= 1, got {n}")
+        check_sketch(kind, n, r, s)
         self.kind = kind
         self.n = int(n)
         self.r = int(r)
@@ -151,8 +168,6 @@ class SketchOperator:
         rng = _rng(self.seed)
         if kind == "countsketch":
             s = 1 if s is None else int(s)
-            if not 1 <= s <= r:
-                raise ValueError(f"countsketch needs 1 <= s <= r, got s={s}, r={r}")
             self.s = s
             self._cols, self._signs = self._draw_countsketch(rng, n, r, s)
             data = (self._signs / math.sqrt(s)).ravel()
@@ -161,8 +176,6 @@ class SketchOperator:
             self._sparse = sp.csr_array((data, indices, indptr), shape=(n, r))
         elif kind == "srht":
             n_pad = _next_pow2(n)
-            if r > n_pad:
-                raise ValueError(f"srht needs r <= padded dimension {n_pad}, got r={r}")
             self._n_pad = n_pad
             signs = rng.integers(0, 2, size=n_pad).astype(np.float64) * 2.0 - 1.0
             self._subset = np.sort(rng.choice(n_pad, size=r, replace=False))
@@ -184,9 +197,6 @@ class SketchOperator:
         elif kind == "sign":
             self._dense = (rng.integers(0, 2, size=(n, r)).astype(np.float64) * 2.0 - 1.0)
             self._dense /= math.sqrt(r)
-        else:  # identity
-            if r != n:
-                raise ValueError(f"identity sketch needs r == n, got n={n}, r={r}")
 
     @staticmethod
     def _draw_countsketch(rng, n, r, s):

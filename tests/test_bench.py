@@ -231,7 +231,7 @@ def test_bench_row_factors_equal_library_factors(tmp_path, monkeypatch, method, 
     )
     seen = []
 
-    def capture(a, left, right, seed):
+    def capture(a, left, right, seed, gram):
         seen.append((left, right))
         return 1.0, 1.0
 
@@ -280,20 +280,47 @@ def test_bench_builds_no_sketch_start_block_or_basis():
     assert calls == []
 
 
-@pytest.mark.parametrize("l_values", [[50], [3], [8, 50]])
-def test_series_spec_rejected_before_the_profile_and_the_csv(tmp_path, monkeypatch, l_values):
-    # l above min(m, n) = 40 or below k = 4, also after a valid series: no series runs
+_BAD_L = r"need 1 <= k <= l <= min\(m, n\)"
+
+
+@pytest.mark.parametrize(
+    "l_values, options, match",
+    [
+        pytest.param([50], {}, _BAD_L, id="l_values0"),
+        pytest.param([3], {}, _BAD_L, id="l_values1"),
+        pytest.param([8, 50], {}, _BAD_L, id="l_values2"),
+        # sketches the engine could not build: an identity of r1 = l = 8 on
+        # n = 40 columns, CountSketch with s outside [1, r1]
+        pytest.param([8], {"sketch_kind": "identity"}, "identity sketch needs r == n", id="identity"),
+        pytest.param([8], {"s": 9}, r"countsketch needs 1 <= s <= r", id="s-above-r"),
+        pytest.param([8], {"s": 0}, r"countsketch needs 1 <= s <= r", id="s-zero"),
+        pytest.param([8], {"sketch_kind": "bogus"}, "unknown sketch kind", id="unknown-kind"),
+    ],
+)
+def test_series_spec_rejected_before_the_profile_and_the_csv(tmp_path, monkeypatch, l_values, options, match):
+    # l above min(m, n) = 40 or below k = 4, or a sketch that cannot be
+    # built, also after a valid series: no series runs
     def no_profile(cls, a):
         raise AssertionError("the profile was computed for a rejected spec")
 
     monkeypatch.setattr(bench_mod.SpectralProfile, "from_matrix", classmethod(no_profile))
     cfg = small_config(
-        tmp_path, dataset="polydecay:60x40:seed=1", methods=["sketched-randsvd"], k=4,
-        l_values=l_values, q_max=1, trials=1,
+        tmp_path, dataset="polydecay:60x40:seed=1", methods=["sketched-randsvd", "lowrank-factorize"], k=4,
+        l_values=l_values, q_max=1, trials=1, **options,
     )
-    with pytest.raises(ValueError, match=r"need 1 <= k <= l <= min\(m, n\)"):
+    with pytest.raises(ValueError, match=match):
         run_benchmark(cfg)
     assert not pathlib.Path(cfg.output_path).exists()
+
+
+def test_secondary_sketch_checked_before_any_work():
+    # lowrank-factorize's S2 maps m = 60 rows; an SRHT with s2_r above the
+    # padded 64 fails at the engine's start, before any sketch is applied
+    a = load_matrix("polydecay:60x40:seed=1")
+    spec = RangeFinderSpec(k=4, l=8, r1=8, r2=4, q=0, eps=0.5, sketch_kind="srht", s2_r=65)
+    power_mod._iterates(a, spec, "sketched-randsvd")  # builds no S2
+    with pytest.raises(ValueError, match="srht needs r <= padded dimension 64"):
+        power_mod._iterates(a, spec, "lowrank-factorize")
 
 
 def _one_record(tmp_path, dataset, method):

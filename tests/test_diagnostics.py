@@ -6,16 +6,19 @@ import pytest
 import scipy.linalg as sla
 
 import skpower.diagnostics as diag_mod
-from conftest import random_lowrank
-from skpower.data_io import _haar_columns, gen_polydecay
+from conftest import psd_polydecay, random_lowrank
+from skpower.data_io import _haar_columns, gen_lowrank_plus_noise, gen_polydecay
 from skpower.diagnostics import (
     BoundReport,
     SpectralProfile,
     approximation_error_bound,
+    approximation_residuals,
     certify_spectral_approx,
     estimate_spectral_norm,
+    estimated_approximation_residuals,
     estimated_projection_residuals,
     gaussian_rangefinder_bound,
+    matrix_gram,
     powered_rangefinder_bound,
     powered_tail_level,
     powered_tail_report,
@@ -24,7 +27,7 @@ from skpower.diagnostics import (
     relative_error,
 )
 from skpower.linalg import orthonormalize
-from skpower.power import choose_q
+from skpower.power import _METHODS, RangeFinderSpec, _advance, choose_q
 from skpower.sketching import make_sketch, substream
 
 
@@ -54,6 +57,19 @@ class TestSpectralProfile:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError, match="descending"):
             profile_of([1.0, 2.0])
+
+    @pytest.mark.parametrize("signs", ["psd", "indefinite"])
+    def test_symmetric_profile_matches_svd(self, signs):
+        # an exactly symmetric matrix takes |eigvalsh| instead of a full SVD
+        n = 200
+        a = psd_polydecay(n, seed=31)
+        if signs == "indefinite":  # eigenvalues (-1)^i n / i
+            v = _haar_columns(n, n, 32)
+            a = (v * (n / np.arange(1.0, n + 1.0) * (-1.0) ** np.arange(n))) @ v.T
+            a = (a + a.T) / 2.0
+        assert np.array_equal(a, a.T)
+        svd = np.linalg.svd(a, compute_uv=False)
+        np.testing.assert_allclose(SpectralProfile.from_matrix(a).values, svd, rtol=1e-13, atol=0.0)
 
 
 class TestRegularizationLevel:
@@ -303,6 +319,56 @@ class TestEstimatedResiduals:
     def test_estimator_deterministic(self):
         a = gen_polydecay(60, 40, seed=16)
         assert estimate_spectral_norm(a, seed=3) == estimate_spectral_norm(a, seed=3)
+
+
+def _noisy_lowrank(shape, noise, psd, seed):
+    """Rank 10 with unit singular values plus ``noise`` Gaussian entries, or a square psd analogue."""
+    if not psd:
+        return gen_lowrank_plus_noise(*shape, 10, noise, seed)
+    n = shape[0]
+    u = _haar_columns(n, 10, seed)
+    g = np.random.default_rng(seed).standard_normal((n, n))
+    a = u @ u.T + noise * (g @ g.T) / n
+    return (a + a.T) / 2.0
+
+
+_SHAPES = {"tall": (120, 70), "wide": (70, 120), "square": (90, 90)}
+
+
+@pytest.mark.parametrize("noise, thin", [(1e-2, True), (1e-8, False)])
+@pytest.mark.parametrize(
+    "method, shape",
+    [(method, shape) for method in sorted(_METHODS) for shape in ("tall", "wide") if method != "nystrom"]
+    + [("nystrom", "square")],
+)
+def test_residual_norms_on_both_sides_of_the_cancellation_guard(monkeypatch, method, shape, noise, thin):
+    # the thin form serves noise 1e-2; at 1e-8 its cancellation exceeds the
+    # estimator's tolerance and the residual is formed: both sides match an SVD
+    a = _noisy_lowrank(_SHAPES[shape], noise, method == "nystrom", seed=41)
+    spec = RangeFinderSpec(k=10, l=30, r1=30, r2=10, q=1, eps=0.5, seed=42)
+    left, right = _METHODS[method].low_rank(a, _advance(a, spec, method)[0])
+    resid = a - left @ right
+    exact_spec, exact_frob = sla.svdvals(resid)[0], np.linalg.norm(resid)
+
+    formed = []
+    real = diag_mod._residual
+    monkeypatch.setattr(diag_mod, "_residual", lambda *args: formed.append(1) or real(*args))
+    gram = matrix_gram(a)
+    spec_err, frob_err = estimated_approximation_residuals(a, left, right, seed=43, gram=gram)
+    assert (not formed) == thin
+    assert abs(spec_err - exact_spec) <= 1e-6 * exact_spec
+    assert spec_err <= exact_spec * (1.0 + 1e-12)
+    assert abs(frob_err - exact_frob) <= 1e-6 * exact_frob
+    # a Gram formed inside gives the same numbers; the exact norms share the Frobenius
+    assert estimated_approximation_residuals(a, left, right, seed=43) == (spec_err, frob_err)
+    assert approximation_residuals(a, left, right)[1] == frob_err
+
+
+def test_gram_of_another_shape_rejected():
+    a = gen_polydecay(50, 30, seed=44)
+    q = orthonormalize(a[:, :3])
+    with pytest.raises(ValueError, match="gram is"):
+        estimated_approximation_residuals(a, q, q.T @ a, gram=matrix_gram(a[:, :20]))
 
 
 def rotated(m, n, sigma, seed):
