@@ -230,7 +230,7 @@ def _cmd_verify(args) -> int:
 
 
 def _dimension(text: str) -> int:
-    """A matrix dimension: a positive integer, else a usage error."""
+    """A matrix dimension or a trial count: a positive integer, else a usage error."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return int(text)
@@ -293,7 +293,7 @@ def build_parser() -> _Parser:
     verify.add_argument("--sketch", default="gaussian", choices=list(sketching.SKETCH_KINDS))
     verify.add_argument("--r", type=int, help="explicit sketch size (overrides sizing rule)")
     verify.add_argument("--s", type=int, default=1)
-    verify.add_argument("--trials", type=int, default=50)
+    verify.add_argument("--trials", type=_dimension, default=50)
     verify.add_argument("--threshold", type=float, default=0.9)
     verify.set_defaults(func=_cmd_verify)
 

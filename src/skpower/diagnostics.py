@@ -6,11 +6,13 @@ package reports: the norms (exact and estimated) of the residual
 certifier, and closed-form evaluators for the error bounds that the
 sketched power method is expected to meet.
 
-The estimated norms never form the m x n residual.  A thin QR of the left
-factor gives its Frobenius norm from three sums of squares, and its
-spectral norm from a symmetric operator built on the Gram ``A.T A`` of the
-matrix's smaller side, which :func:`matrix_gram` forms once per matrix.
-Where those differences would cancel beyond the estimator's tolerance, the
+Each residual function checks its operands once.  The estimated norms
+never form the m x n residual.  A thin QR of the left factor gives its
+Frobenius norm from three sums of squares, and its spectral norm from a
+symmetric operator built on the Gram ``A.T A`` of the matrix's smaller
+side, which only :func:`matrix_gram` forms, once per matrix.  The estimate
+stops at the fixed relative tolerance ``_ESTIMATOR_TOL``; no call sets
+another.  Where those differences would cancel beyond that tolerance, the
 residual is formed after all.  A profile of an exactly symmetric matrix
 comes from its eigenvalues instead of a full SVD.
 Bound evaluations are returned as :class:`BoundReport` rows so the
@@ -26,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import logsumexp
 
-from .linalg import as_matrix, frobenius_norm, orthonormal_projection, psd_eigenvalues
+from .linalg import as_matrix, frobenius_norm, orthonormal_projection
 from .power import choose_q
 from .sketching import _rng
 
@@ -51,8 +53,8 @@ _THIN_LOSS = _ESTIMATOR_TOL**2
 class SpectralProfile:
     """Descending nonnegative spectrum of a matrix plus its shape.
 
-    ``values`` holds singular values, or eigenvalues when built from a psd
-    matrix; every bound evaluator consumes one of these.
+    ``values`` holds singular values; every bound evaluator consumes one of
+    these.
     """
 
     values: np.ndarray
@@ -83,12 +85,6 @@ class SpectralProfile:
         else:
             values = np.linalg.svd(a, compute_uv=False)
         return cls(values=values, shape=a.shape)
-
-    @classmethod
-    def from_psd(cls, a) -> "SpectralProfile":
-        """Eigenvalue profile of a symmetric psd matrix, clamped at zero (see ``psd_eigenvalues``)."""
-        a = as_matrix(a, "a")
-        return cls(values=np.clip(psd_eigenvalues(a)[::-1], 0.0, None), shape=a.shape)
 
 
 @dataclass
@@ -200,10 +196,6 @@ def _golub_kahan(product, product_rows, shape, tol: float, max_iter: int, seed: 
     ``product_rows(q)`` is ``q @ X`` for rows q (r x m); see
     :func:`estimate_spectral_norm` for the iteration and its stopping rules.
     """
-    if tol < 0.0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     m, n = shape
     y = product(_rng(seed).standard_normal((n, _KRYLOV_BLOCK))).T
     # the bases Q and Z = Q X are kept as rows, so each reorthogonalization
@@ -260,8 +252,13 @@ def estimate_spectral_norm(
     the estimate exact (at the latest once the basis spans the column space
     of ``a``); ``max_iter`` steps.  The zero matrix returns 0.0.
     Deterministic for a fixed seed.  Each step costs one product of ``a``
-    and one of ``a.T`` with a block.
+    and one of ``a.T`` with a block.  ``tol`` and ``max_iter`` are checked
+    here, the one entry that takes them from a caller.
     """
+    if tol < 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     a = as_matrix(a, "a")
     # blocks are products with a on the left: at this width ``x @ a.T``
     # takes about twice as long as ``a @ x.T`` with x.T contiguous
@@ -287,13 +284,8 @@ def matrix_gram(a) -> MatrixGram:
     return MatrixGram(side.T @ side, _squared_norm(a))
 
 
-def _residual(a, left, right) -> np.ndarray:
-    """``a - left @ right``, formed only where the thin form cancels (:func:`_thin`) or the exact norm needs it."""
-    a, left, right = _operands(a, left, right)
-    return a - left @ right
-
-
 def _operands(a, left, right) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(a, left, right)`` checked once, for every routine below that takes them."""
     a = as_matrix(a, "a")
     left, right = as_matrix(left, "left"), as_matrix(right, "right")
     if left.shape[0] != a.shape[0] or right.shape[1] != a.shape[1] or left.shape[1] != right.shape[0]:
@@ -302,13 +294,18 @@ def _operands(a, left, right) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class _Thin(NamedTuple):
-    a: np.ndarray  # A on the side of its Gram: A.T when A is wide
     b: np.ndarray  # Q.T A, with L = Q T
     d: np.ndarray  # B - T R
     frob: float  # ||A - L R||_F
 
 
-def _thin(a, left, right, frob2: float | None = None) -> _Thin | None:
+def _residual(a, left, right) -> np.ndarray:
+    """``a - left @ right`` of checked operands: formed only where the thin
+    form cancels (:func:`_thin`) or the exact norm needs it."""
+    return a - left @ right
+
+
+def _thin(a, left, right, frob2: float) -> _Thin | None:
     """``A - L R`` from its thin factors, or None where that form cancels too much.
 
     On the side of the Gram (a wide A is transposed, and L and R swap to
@@ -318,11 +315,8 @@ def _thin(a, left, right, frob2: float | None = None) -> _Thin | None:
     and ``(A - L R).T (A - L R) = A.T A - B.T B + D.T D``, and neither needs
     the m x n residual.  Both differences lose about ``eps ||A||_F^2``;
     returns None unless that is at most ``_THIN_LOSS`` of the squared
-    residual.  ``frob2`` is ``||A||_F^2`` when the caller has it.
+    residual.  The operands are checked, and ``frob2`` is ``||A||_F^2``.
     """
-    a, left, right = _operands(a, left, right)
-    if frob2 is None:
-        frob2 = _squared_norm(a)
     if a.shape[0] < a.shape[1]:
         a, left, right = a.T, right.T, left.T
     q, t = np.linalg.qr(left)
@@ -331,42 +325,45 @@ def _thin(a, left, right, frob2: float | None = None) -> _Thin | None:
     resid2 = frob2 - _squared_norm(b) + _squared_norm(d)
     if not _EPS * frob2 <= _THIN_LOSS * resid2:  # also a non-positive resid2
         return None
-    return _Thin(a, b, d, math.sqrt(resid2))
+    return _Thin(b, d, math.sqrt(resid2))
 
 
 def approximation_residuals(a, left, right) -> tuple[float, float]:
     """Exact (spectral, Frobenius) norms of ``a - left @ right``: the spectral
     from a full SVD, the Frobenius as :func:`estimated_approximation_residuals` gives it."""
-    thin = _thin(a, left, right)
+    a, left, right = _operands(a, left, right)
+    thin = _thin(a, left, right, _squared_norm(a))
     resid = _residual(a, left, right)
     return float(np.linalg.norm(resid, 2)), frobenius_norm(resid) if thin is None else thin.frob
 
 
 def estimated_approximation_residuals(
-    a, left, right, tol: float = _ESTIMATOR_TOL, seed: int = 0, gram: MatrixGram | None = None
+    a, left, right, seed: int = 0, gram: MatrixGram | None = None
 ) -> tuple[float, float]:
     """(spectral, Frobenius) norms of ``a - left @ right`` without forming it.
 
     Both come from the thin form of :func:`_thin`.  The spectral norm is the
     square root of the largest eigenvalue of the symmetric operator
     ``A.T A - B.T B + D.T D``, estimated by the block Krylov iteration of
-    :func:`estimate_spectral_norm` (at relative tolerance ``tol``; a lower
-    bound) with the Gram ``gram`` (``matrix_gram(a)``, formed here when not
-    given).  Where the thin form would cancel, the residual is formed
-    instead, and its norms are :func:`estimate_spectral_norm` and the exact
-    Frobenius norm.
+    :func:`estimate_spectral_norm` (at its default relative tolerance,
+    ``_ESTIMATOR_TOL``; a lower bound) with the Gram ``gram``
+    (``matrix_gram(a)``, formed here when not given).  Where the thin form
+    would cancel, the residual is formed instead, and its norms are
+    :func:`estimate_spectral_norm` and the exact Frobenius norm.
     """
-    thin = _thin(a, left, right, None if gram is None else gram.frob2)
+    a, left, right = _operands(a, left, right)
+    gram = matrix_gram(a) if gram is None else gram
+    g = gram.gram
+    if g.shape != (min(a.shape),) * 2:
+        raise ValueError(f"gram is {g.shape}, the Gram of the smaller side of a {a.shape} matrix is not")
+    thin = _thin(a, left, right, gram.frob2)
     if thin is None:
         resid = _residual(a, left, right)
-        return estimate_spectral_norm(resid, tol=tol, seed=seed), frobenius_norm(resid)
-    g = thin.a.T @ thin.a if gram is None else gram.gram
-    if g.shape != (thin.a.shape[1],) * 2:
-        raise ValueError(f"gram is {g.shape}, the Gram of a {thin.a.shape} matrix is not")
+        return estimate_spectral_norm(resid, seed=seed), frobenius_norm(resid)
     b, d = thin.b, thin.d
     product = lambda x: g @ x - b.T @ (b @ x) + d.T @ (d @ x)
     product_rows = lambda q: q @ g - (q @ b.T) @ b + (q @ d.T) @ d
-    return math.sqrt(_golub_kahan(product, product_rows, g.shape, tol, _KRYLOV_MAX_STEPS, seed)), thin.frob
+    return math.sqrt(_golub_kahan(product, product_rows, g.shape, _ESTIMATOR_TOL, _KRYLOV_MAX_STEPS, seed)), thin.frob
 
 
 def projection_residuals(a, q_basis) -> tuple[float, float]:
@@ -374,11 +371,9 @@ def projection_residuals(a, q_basis) -> tuple[float, float]:
     return approximation_residuals(a, *orthonormal_projection(a, q_basis))
 
 
-def estimated_projection_residuals(
-    a, q_basis, tol: float = _ESTIMATOR_TOL, seed: int = 0
-) -> tuple[float, float]:
+def estimated_projection_residuals(a, q_basis, seed: int = 0) -> tuple[float, float]:
     """Like :func:`projection_residuals` with the spectral norm estimated."""
-    return estimated_approximation_residuals(a, *orthonormal_projection(a, q_basis), tol=tol, seed=seed)
+    return estimated_approximation_residuals(a, *orthonormal_projection(a, q_basis), seed=seed)
 
 
 def approximation_error_bound(

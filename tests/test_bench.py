@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import skpower.bench as bench_mod
+import skpower.diagnostics as diag_mod
 import skpower.power as power_mod
 from conftest import psd_polydecay, random_psd
 from skpower.bench import (
@@ -257,6 +258,27 @@ def test_replay_record_regenerates_classical_and_nystrom_rows(tmp_path):
         assert replay_record(a, rec, sketch_kind=cfg.sketch_kind) == (
             rec.spec_err, rec.frob_err, rec.rel_err
         )
+
+
+def test_bench_and_replay_through_the_cancellation_fallback(tmp_path, monkeypatch):
+    # at noise 1e-8 the thin form cancels, so every point forms its residual;
+    # replay takes the same path and reproduces each row bit for bit
+    formed = []
+    real = diag_mod._residual
+    monkeypatch.setattr(diag_mod, "_residual", lambda *args: formed.append(1) or real(*args))
+    cfg = small_config(
+        tmp_path, dataset="lowrank:80x60:rank=10:noise=1e-8:seed=2",
+        methods=["sketched-randsvd", "lowrank-factorize", "classical-randsvd"],
+        k=10, l_values=[20], q_max=2, trials=1,
+    )
+    records = run_benchmark(cfg)
+    assert len(records) == 9 and len(formed) == 9
+    a = load_matrix(cfg.dataset)
+    for rec in records:
+        assert replay_record(a, rec, sketch_kind=cfg.sketch_kind) == (
+            rec.spec_err, rec.frob_err, rec.rel_err
+        )
+    assert len(formed) == 18
 
 
 def test_bench_builds_no_sketch_start_block_or_basis():

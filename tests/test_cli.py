@@ -326,6 +326,18 @@ class TestRun:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_trials_is_a_usage_error(self, tmp_path, capsys, value):
+        # no trial is no verification: not a division by zero, nor a pass at threshold 0
+        path = tmp_path / "t.skpw"
+        run_cli(capsys, "gen", "polydecay", "--m", "20", "--n", "10", "--seed", "1", "--out", str(path))
+        code, out, err = run_cli(
+            capsys, "verify", "--data", str(path), "--sketch", "identity", "--r", "10",
+            "--k", "2", "--trials", value, "--threshold", "0",
+        )
+        assert code == 1 and out == ""
+        assert f"argument --trials: must be an integer >= 1, got '{value}'" in err
+
     def test_identity_sketch_always_passes(self, tmp_path, capsys):
         path = tmp_path / "v.skpw"
         run_cli(capsys, "gen", "polydecay", "--m", "50", "--n", "30", "--seed", "1", "--out", str(path))

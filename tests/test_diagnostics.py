@@ -41,19 +41,6 @@ class TestSpectralProfile:
         prof = SpectralProfile.from_matrix(np.diag([1.0, 3.0, 2.0]))
         np.testing.assert_allclose(prof.values, [3.0, 2.0, 1.0], atol=1e-14)
 
-    def test_from_psd_clamps(self):
-        g = np.random.default_rng(0).standard_normal((10, 4))
-        prof = SpectralProfile.from_psd(g @ g.T)
-        assert np.all(prof.values >= 0.0)
-        assert len(prof) == 10
-
-    def test_from_psd_rejects_non_square_and_asymmetric(self):
-        # the input check of nystrom: no silent symmetrization
-        with pytest.raises(ValueError, match="square"):
-            SpectralProfile.from_psd(np.ones((3, 2)))
-        with pytest.raises(ValueError, match="symmetric"):
-            SpectralProfile.from_psd(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError, match="descending"):
             profile_of([1.0, 2.0])
@@ -362,6 +349,26 @@ def test_residual_norms_on_both_sides_of_the_cancellation_guard(monkeypatch, met
     # a Gram formed inside gives the same numbers; the exact norms share the Frobenius
     assert estimated_approximation_residuals(a, left, right, seed=43) == (spec_err, frob_err)
     assert approximation_residuals(a, left, right)[1] == frob_err
+
+
+@pytest.mark.parametrize("noise, thin", [(1e-2, True), (1e-8, False)])
+def test_operands_checked_once_per_public_call(monkeypatch, noise, thin):
+    # a, L and R are checked once per call; the fallback's
+    # estimate_spectral_norm checks the residual it is handed
+    a = _noisy_lowrank(_SHAPES["tall"], noise, False, seed=41)
+    spec = RangeFinderSpec(k=10, l=30, r1=30, r2=10, q=1, eps=0.5, seed=42)
+    left, right = _METHODS["sketched-randsvd"].low_rank(a, _advance(a, spec, "sketched-randsvd")[0])
+    gram = matrix_gram(a)
+    checked, formed = [], []
+    real_check, real_residual = diag_mod.as_matrix, diag_mod._residual
+    monkeypatch.setattr(diag_mod, "as_matrix", lambda x, name: checked.append(name) or real_check(x, name))
+    monkeypatch.setattr(diag_mod, "_residual", lambda *args: formed.append(1) or real_residual(*args))
+    approximation_residuals(a, left, right)
+    assert checked == ["a", "left", "right"]
+    checked.clear()
+    estimated_approximation_residuals(a, left, right, seed=43, gram=gram)
+    assert checked == ["a", "left", "right"] + ([] if thin else ["a"])
+    assert len(formed) == 1 + (not thin)
 
 
 def test_gram_of_another_shape_rejected():

@@ -11,7 +11,7 @@ import skpower
 from skpower import linalg
 from skpower.data_io import gen_expdecay
 from skpower.power import RangeFinderSpec, range_finder_sketched
-from skpower.linalg import orthonormalize, pinv, span_basis, thin_svd
+from skpower.linalg import orthonormalize, pinv, psd_eigenvalues, span_basis, thin_svd
 
 
 class TestOrthonormalize:
@@ -247,6 +247,18 @@ class TestPinv:
         assert np.linalg.norm(mp @ m @ mp - mp) <= 1e-8 * np.linalg.norm(mp)
         np.testing.assert_allclose(m @ mp, (m @ mp).T, atol=1e-8)
         np.testing.assert_allclose(mp @ m, (mp @ m).T, atol=1e-8)
+
+
+class TestPsdEigenvalues:
+    """The input check of nystrom: no silent symmetrization."""
+
+    def test_rejects_non_square_asymmetric_and_indefinite(self):
+        with pytest.raises(ValueError, match="square"):
+            psd_eigenvalues(np.ones((3, 2)))
+        with pytest.raises(ValueError, match="symmetric"):
+            psd_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="not psd"):
+            psd_eigenvalues(np.diag([1.0, -1.0]))
 
 
 class TestPsdSqrt:

@@ -433,7 +433,7 @@ class TestNystromPsd:
 
     def test_psd_polydecay_error_bound_ensemble(self):
         a = psd_polydecay(300, seed=7)
-        profile = SpectralProfile.from_psd(a)
+        profile = SpectralProfile.from_matrix(a)
         k, l = 15, 20
         rhs = approximation_error_bound(profile, k, l, 0.5, squared=False)
         hits = 0
