@@ -187,26 +187,14 @@ def _cmd_bench(args) -> int:
 
 def _cmd_verify(args) -> int:
     a = data_io.load_matrix(args.data)
-    m, n = a.shape
-    cap = diagnostics._CERTIFIER_MAX_ROWS
-    if m > cap:
-        raise ValueError(
-            f"matrix has {m} rows; the certifier is desk-scale only (m <= {cap}) -- "
-            "truncate or subsample the input"
-        )
+    n = a.shape[1]
     profile = diagnostics.SpectralProfile.from_matrix(a)
     lam = diagnostics.regularization_level(profile, args.k)
-    if args.r is not None:
-        r = args.r
-    else:
-        r = sketching.sketch_size(args.sketch, args.k, args.eps, args.delta, args.c, n=n)
-    passes = 0
-    worst = 0.0
+    r = args.r if args.r is not None else sketching.sketch_size(args.sketch, args.k, args.eps, args.delta, args.c, n=n)
+    passes, worst = 0, 0.0
     for trial in range(args.trials):
-        sk = sketching.make_sketch(
-            args.sketch, n, r, sketching.substream(args.seed, trial), s=args.s
-        )
-        report = diagnostics.certify_spectral_approx(a, sk.apply_right(a), lam, args.eps)
+        sk = sketching.make_sketch(args.sketch, n, r, sketching.substream(args.seed, trial), s=args.s)
+        report = diagnostics.certify_spectral_approx(a, sk, lam, args.eps)
         passes += report.holds
         worst = max(worst, report.measured)
     rate = passes / args.trials
@@ -229,11 +217,18 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _dimension(text: str) -> int:
-    """A matrix dimension or a trial count: a positive integer, else a usage error."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return int(text)
+def _at_least(low: int):
+    """Parser of an integer flag ``>= low``; any other value is a usage error."""
+
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return int(text)
+
+    return parse
+
+
+_dimension = _at_least(1)  # a matrix dimension, a trial or a worker count
 
 
 def build_parser() -> _Parser:
@@ -279,13 +274,13 @@ def build_parser() -> _Parser:
     bench.add_argument("--k", type=int)
     bench.add_argument("--l-values", dest="l_values", help="comma-separated sketch sizes")
     bench.add_argument("--eps", type=float)
-    bench.add_argument("--q-max", dest="q_max", type=int)
-    bench.add_argument("--trials", type=int)
+    bench.add_argument("--q-max", dest="q_max", type=_at_least(0))
+    bench.add_argument("--trials", type=_dimension)
     bench.add_argument("--seed", dest="root_seed", type=int)
     bench.add_argument("--sketch", dest="sketch_kind", choices=list(sketching.SKETCH_KINDS))
     bench.add_argument("--s", type=int)
     bench.add_argument("--out", dest="output")
-    bench.add_argument("--workers", type=int)
+    bench.add_argument("--workers", type=_dimension)
     bench.add_argument("--verbose", action="store_true")
     bench.set_defaults(func=_cmd_bench)
 

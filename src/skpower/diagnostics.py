@@ -6,15 +6,15 @@ package reports: the norms (exact and estimated) of the residual
 certifier, and closed-form evaluators for the error bounds that the
 sketched power method is expected to meet.
 
-Each residual function checks its operands once.  The estimated norms
-never form the m x n residual.  A thin QR of the left factor gives its
-Frobenius norm from three sums of squares, and its spectral norm from a
-symmetric operator built on the Gram ``A.T A`` of the matrix's smaller
-side, which only :func:`matrix_gram` forms, once per matrix.  The estimate
-stops at the fixed relative tolerance ``_ESTIMATOR_TOL``; no call sets
-another.  Where those differences would cancel beyond that tolerance, the
-residual is formed after all.  A profile of an exactly symmetric matrix
-comes from its eigenvalues instead of a full SVD.
+The certifier and the residual norms work on the Gram ``A.T A`` of the
+matrix's smaller side, which only :func:`matrix_gram` forms.  Each residual
+function checks its operands once and does not form the m x n residual: a
+thin QR of the left factor gives its Frobenius norm from three sums of
+squares, and its spectral norm from ``A.T A - B.T B + D.T D``, exactly by
+``eigvalsh`` or estimated to the fixed relative tolerance ``_ESTIMATOR_TOL``
+by a block Krylov iteration.  Where those differences would cancel beyond
+that tolerance, the residual is formed after all.  A profile of an exactly
+symmetric matrix comes from its eigenvalues instead of a full SVD.
 Bound evaluations are returned as :class:`BoundReport` rows so the
 constants actually used are recorded next to the verdict.
 """
@@ -32,7 +32,6 @@ from .linalg import as_matrix, frobenius_norm, orthonormal_projection
 from .power import choose_q
 from .sketching import _rng
 
-_CERTIFIER_MAX_ROWS = 2048  # whitening needs a dense m-by-m eigendecomposition
 # spectral-norm estimator: block columns (a single start vector misses the
 # top singular vector too often), basis rows before the first growth, and
 # the relative size below which a new Krylov direction counts as breakdown
@@ -128,48 +127,44 @@ def regularization_level(profile: SpectralProfile, k: int) -> float:
     return float(np.dot(tail, tail) / k)
 
 
-def certify_spectral_approx(a, a_sketched, lam: float, eps: float) -> BoundReport:
-    """Certify that ``a_sketched`` is a lam-regularized eps-spectral approximation of ``a``.
+def certify_spectral_approx(a, sketch, lam: float, eps: float) -> BoundReport:
+    """Certify that ``A S`` is a lam-regularized eps-spectral approximation of ``a``.
 
-    Measures the whitened sketching error
+    ``sketch`` is the :class:`~skpower.sketching.SketchOperator` S.  Measures
+    the whitened sketching error
 
-        || (a a.T + lam I)^(-1/2) (a_sketched a_sketched.T - a a.T) (a a.T + lam I)^(-1/2) ||
+        || (A A.T + lam I)^(-1/2) (A S (A S).T - A A.T) (A A.T + lam I)^(-1/2) ||
 
     which is at most ``eps`` exactly when the two-sided Loewner sandwich
-    (1 +- eps)(a a.T + lam I) around a_sketched a_sketched.T + lam I holds.
-    Desk-scale only: the whitening is a dense m-by-m eigendecomposition.
+    (1 +- eps)(A A.T + lam I) around A S (A S).T + lam I holds.  The error
+    lives in the span of A's left singular vectors U; with the Gram of the
+    smaller side ``V diag(w) V.T``, the whitened ``W = (w + lam)^(-1/2) U.T A``
+    is ``V.T A`` scaled for a wide A (U = V), else ``sqrt(w / (w + lam)) V.T``,
+    and the norm is that of the min(m, n)-square ``(W S)(W S).T - W W.T``
+    (exactly 0 for an identity sketch).  lam = 0 raises for a tall ``a``.
     """
     a = as_matrix(a, "a")
-    a_sketched = as_matrix(a_sketched, "a_sketched")
-    if a.shape[0] != a_sketched.shape[0]:
-        raise ValueError(
-            f"row mismatch: a has {a.shape[0]} rows, sketched has {a_sketched.shape[0]}"
-        )
     if lam < 0.0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     if eps < 0.0:
         raise ValueError(f"eps must be >= 0, got {eps}")
-    m = a.shape[0]
-    if m > _CERTIFIER_MAX_ROWS:
-        raise ValueError(
-            f"certifier is desk-scale only (m <= {_CERTIFIER_MAX_ROWS}); "
-            f"got m={m} -- truncate or subsample the input"
-        )
-    gram = a @ a.T
-    w, v = np.linalg.eigh(gram)
+    m, n = a.shape
+    w, v = np.linalg.eigh(_gram(a).gram)
     w = np.clip(w, 0.0, None)
-    if lam == 0.0 and w.min() <= w.max() * m * np.finfo(np.float64).eps:
+    if lam == 0.0 and (m > n or w.min() <= w.max() * m * _EPS):
         raise ValueError("lam=0 with singular a a.T: whitening is undefined")
-    inv_sqrt = (v / np.sqrt(w + lam)) @ v.T
-    err = a_sketched @ a_sketched.T - gram
-    whitened = inv_sqrt @ err @ inv_sqrt
-    whitened = (whitened + whitened.T) / 2.0
-    measured = float(np.abs(np.linalg.eigvalsh(whitened)).max())
+    if m < n:
+        whitened = (v.T @ a) / np.sqrt(w + lam)[:, None]
+    else:
+        whitened = np.sqrt(w / (w + lam))[:, None] * v.T
+    sketched = sketch.apply_right(whitened)
+    error = sketched @ sketched.T - whitened @ whitened.T
+    measured = float(np.abs(np.linalg.eigvalsh(error)).max())
     return BoundReport(
         name="regularized-spectral-approximation",
         rhs=float(eps),
         measured=measured,
-        params={"lambda": float(lam), "eps": float(eps), "m": float(m), "r": float(a_sketched.shape[1])},
+        params={"lambda": float(lam), "eps": float(eps), "m": float(m), "r": float(sketch.r)},
     )
 
 
@@ -279,7 +274,11 @@ def _squared_norm(a: np.ndarray) -> float:
 def matrix_gram(a) -> MatrixGram:
     """:class:`MatrixGram` of ``a``: formed once per matrix, it serves every
     :func:`estimated_approximation_residuals` call on it."""
-    a = as_matrix(a, "a")
+    return _gram(as_matrix(a, "a"))
+
+
+def _gram(a: np.ndarray) -> MatrixGram:
+    """:func:`matrix_gram` of a checked matrix."""
     side = a.T if a.shape[0] < a.shape[1] else a
     return MatrixGram(side.T @ side, _squared_norm(a))
 
@@ -300,8 +299,7 @@ class _Thin(NamedTuple):
 
 
 def _residual(a, left, right) -> np.ndarray:
-    """``a - left @ right`` of checked operands: formed only where the thin
-    form cancels (:func:`_thin`) or the exact norm needs it."""
+    """``a - left @ right`` of checked operands, formed only where :func:`_thin` cancels."""
     return a - left @ right
 
 
@@ -329,12 +327,18 @@ def _thin(a, left, right, frob2: float) -> _Thin | None:
 
 
 def approximation_residuals(a, left, right) -> tuple[float, float]:
-    """Exact (spectral, Frobenius) norms of ``a - left @ right``: the spectral
-    from a full SVD, the Frobenius as :func:`estimated_approximation_residuals` gives it."""
+    """Exact (spectral, Frobenius) norms of ``a - left @ right``: on the thin
+    form of :func:`_thin`, ``eigvalsh`` of ``A.T A - B.T B + D.T D`` and the
+    Frobenius norm :func:`estimated_approximation_residuals` gives; where it
+    cancels, both from the formed residual."""
     a, left, right = _operands(a, left, right)
-    thin = _thin(a, left, right, _squared_norm(a))
-    resid = _residual(a, left, right)
-    return float(np.linalg.norm(resid, 2)), frobenius_norm(resid) if thin is None else thin.frob
+    gram = _gram(a)
+    thin = _thin(a, left, right, gram.frob2)
+    if thin is None:
+        resid = _residual(a, left, right)
+        return float(np.linalg.norm(resid, 2)), frobenius_norm(resid)
+    top = np.linalg.eigvalsh(gram.gram - thin.b.T @ thin.b + thin.d.T @ thin.d)[-1]
+    return math.sqrt(max(top, 0.0)), thin.frob
 
 
 def estimated_approximation_residuals(

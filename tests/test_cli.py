@@ -358,30 +358,16 @@ class TestVerify:
         assert code == 3
         assert float(parse_kv(out)["pass_rate"]) == 0.0
 
-    def test_desk_scale_cap(self, tmp_path, capsys):
-        write_binary(np.ones((2100, 2)), tmp_path / "big.skpw")
-        code, _, err = run_cli(
-            capsys, "verify", "--data", str(tmp_path / "big.skpw"), "--k", "1"
+    def test_runs_above_two_thousand_rows(self, tmp_path, capsys):
+        # the certifier works on the Gram of the smaller side: no row cap
+        path = tmp_path / "tall.skpw"
+        run_cli(capsys, "gen", "polydecay", "--m", "2100", "--n", "20", "--seed", "1", "--out", str(path))
+        code, out, _ = run_cli(
+            capsys, "verify", "--data", str(path), "--sketch", "identity", "--r", "20",
+            "--k", "4", "--trials", "2",
         )
-        assert code == 2 and "truncate" in err
-
-    def test_row_cap_is_the_certifier_constant(self, tmp_path, capsys, monkeypatch):
-        import skpower.diagnostics as diag_mod
-
-        cap = 40
-        monkeypatch.setattr(diag_mod, "_CERTIFIER_MAX_ROWS", cap)
-        for m, accepted in ((cap, True), (cap + 1, False)):
-            path = tmp_path / f"m{m}.skpw"
-            run_cli(capsys, "gen", "polydecay", "--m", str(m), "--n", "20", "--seed", "1", "--out", str(path))
-            code, _, err = run_cli(
-                capsys, "verify", "--data", str(path), "--sketch", "identity", "--r", "20",
-                "--k", "5", "--eps", "0.5", "--trials", "1",
-            )
-            if accepted:
-                assert code == 0
-            else:
-                # rejected by the CLI itself, before the spectral profile is computed
-                assert code == 2 and f"matrix has {m} rows" in err and f"m <= {cap}" in err
+        assert code == 0
+        assert float(parse_kv(out)["pass_rate"]) == 1.0
 
 
 class TestBench:
@@ -449,6 +435,25 @@ class TestBench:
         )
         assert code == 2 and "need 1 <= k <= l <= min(m, n)" in err
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize("flag, value, low", [("--trials", "0", 1), ("--workers", "0", 1), ("--q-max", "-1", 0)])
+    def test_out_of_range_count_is_a_usage_error(self, tmp_path, capsys, flag, value, low):
+        # the same exit code as verify --trials 0; a config-file value is checked by BenchConfig (exit 2)
+        out_csv = tmp_path / "bad.csv"
+        code, out, err = run_cli(
+            capsys, "bench", "--data", "polydecay:60x40:seed=1", "--k", "4", "--l-values", "8",
+            flag, value, "--out", str(out_csv),
+        )
+        assert code == 1 and out == ""
+        assert f"argument {flag}: must be an integer >= {low}, got '{value}'" in err
+        assert not out_csv.exists()
+
+    def test_out_of_range_config_value_is_a_runtime_error(self, tmp_path, capsys):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(f"dataset = polydecay:60x40:seed=1\nk = 4\nl_values = 8\ntrials = 0\noutput = {tmp_path / 'z.csv'}\n")
+        code, _, err = run_cli(capsys, "bench", "--config", str(cfg))
+        assert code == 2 and "trials must be >= 1" in err
+        assert not (tmp_path / "z.csv").exists()
 
     def test_missing_dataset_is_error(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--k", "4")

@@ -86,38 +86,45 @@ class TestRegularizationLevel:
 class TestCertifier:
     def test_identity_sketch_measures_zero(self):
         a = gen_polydecay(30, 20, seed=2)
-        report = certify_spectral_approx(a, a, lam=1.0, eps=0.0)
+        report = certify_spectral_approx(a, make_sketch("identity", 20, 20, 0), lam=1.0, eps=0.0)
         assert report.measured <= 1e-12 and report.holds
 
     def test_eps_zero_strict(self):
         a = gen_polydecay(30, 20, seed=3)
         sketch = make_sketch("gaussian", 20, 10, seed=4)
-        report = certify_spectral_approx(a, sketch.apply_right(a), lam=10.0, eps=0.0)
+        report = certify_spectral_approx(a, sketch, lam=10.0, eps=0.0)
         assert not report.holds and report.measured > 0.0
 
-    def test_lam_zero_singular_gram_errors(self):
-        a = random_lowrank(20, 15, rank=3, seed=5)
+    # a a.T of a tall input has rank n < m, however well conditioned a is
+    @pytest.mark.parametrize(
+        "a", [random_lowrank(20, 15, rank=3, seed=5), gen_polydecay(20, 15, seed=5)], ids=["rank3", "full-rank"]
+    )
+    def test_lam_zero_singular_gram_errors(self, a):
         with pytest.raises(ValueError, match="singular"):
-            certify_spectral_approx(a, a, lam=0.0, eps=0.5)
+            certify_spectral_approx(a, make_sketch("identity", 15, 15, 0), lam=0.0, eps=0.5)
 
-    def test_matches_generalized_eigenvalue_test(self):
-        # the whitened norm equals the extreme pencil eigenvalue deviation
-        a = gen_polydecay(40, 30, seed=6)
+    @staticmethod
+    def _pencil_deviation(a, a_s, lam):
+        m = a.shape[0]
+        pencil = sla.eigh(a_s @ a_s.T + lam * np.eye(m), a @ a.T + lam * np.eye(m), eigvals_only=True)
+        return np.abs(pencil - 1.0).max()
+
+    @pytest.mark.parametrize("kind", ["gaussian", "sign", "countsketch", "srht", "identity"])
+    @pytest.mark.parametrize("shape", [(40, 30), (30, 40), (35, 35)], ids=["tall", "wide", "square"])
+    def test_matches_generalized_eigenvalue_test(self, shape, kind):
+        # the whitened norm equals the extreme deviation of the m x m pencil's eigenvalues
+        a = gen_polydecay(*shape, seed=6)
+        n = shape[1]
         lam = regularization_level(SpectralProfile.from_matrix(a), 5)
-        sketch = make_sketch("sign", 30, 25, seed=7)
-        a_s = sketch.apply_right(a)
-        report = certify_spectral_approx(a, a_s, lam, eps=0.5)
-        gram = a @ a.T
-        gram_s = a_s @ a_s.T
-        pencil = sla.eigh(
-            gram_s + lam * np.eye(40), gram + lam * np.eye(40), eigvals_only=True
-        )
-        assert abs(np.abs(pencil - 1.0).max() - report.measured) <= 1e-8
+        sketch = make_sketch(kind, n, n if kind == "identity" else 25, seed=7)
+        report = certify_spectral_approx(a, sketch, lam, eps=0.5)
+        assert abs(self._pencil_deviation(a, sketch.apply_right(a), lam) - report.measured) <= 1e-8
 
-    def test_desk_scale_cap(self):
-        a = np.ones((2100, 2))
-        with pytest.raises(ValueError, match="desk-scale"):
-            certify_spectral_approx(a, a, lam=1.0, eps=0.5)
+    def test_lam_zero_square_full_rank_matches_pencil(self):
+        a = gen_polydecay(35, 35, seed=6)
+        sketch = make_sketch("gaussian", 35, 60, seed=7)
+        report = certify_spectral_approx(a, sketch, 0.0, eps=0.5)
+        assert abs(self._pencil_deviation(a, sketch.apply_right(a), 0.0) - report.measured) <= 1e-8
 
     def test_report_row_shape(self):
         report = BoundReport(name="x", rhs=1.0, measured=0.5, params={"k": 3.0})
@@ -354,7 +361,8 @@ def test_residual_norms_on_both_sides_of_the_cancellation_guard(monkeypatch, met
 @pytest.mark.parametrize("noise, thin", [(1e-2, True), (1e-8, False)])
 def test_operands_checked_once_per_public_call(monkeypatch, noise, thin):
     # a, L and R are checked once per call; the fallback's
-    # estimate_spectral_norm checks the residual it is handed
+    # estimate_spectral_norm checks the residual it is handed.  Each call
+    # forms the residual only on the fallback
     a = _noisy_lowrank(_SHAPES["tall"], noise, False, seed=41)
     spec = RangeFinderSpec(k=10, l=30, r1=30, r2=10, q=1, eps=0.5, seed=42)
     left, right = _METHODS["sketched-randsvd"].low_rank(a, _advance(a, spec, "sketched-randsvd")[0])
@@ -365,10 +373,12 @@ def test_operands_checked_once_per_public_call(monkeypatch, noise, thin):
     monkeypatch.setattr(diag_mod, "_residual", lambda *args: formed.append(1) or real_residual(*args))
     approximation_residuals(a, left, right)
     assert checked == ["a", "left", "right"]
+    assert len(formed) == (not thin)
     checked.clear()
+    formed.clear()
     estimated_approximation_residuals(a, left, right, seed=43, gram=gram)
     assert checked == ["a", "left", "right"] + ([] if thin else ["a"])
-    assert len(formed) == 1 + (not thin)
+    assert len(formed) == (not thin)
 
 
 def test_gram_of_another_shape_rejected():
@@ -496,10 +506,9 @@ def test_powered_tail_inequality_holds_on_certified_pairs():
     while checked < 10 and trial < 40:
         sketch = make_sketch("gaussian", 200, 260, substream(4000, trial))
         trial += 1
-        a_s = sketch.apply_right(a)
-        if certify_spectral_approx(a, a_s, lam, eps).holds:
+        if certify_spectral_approx(a, sketch, lam, eps).holds:
             checked += 1
-            sprof = SpectralProfile.from_matrix(a_s)
+            sprof = SpectralProfile.from_matrix(sketch.apply_right(a))
             rank = int(np.count_nonzero(sprof.values > sprof.values[0] * 300 * np.finfo(float).eps))
             report = powered_tail_report(sprof, k, choose_q(eps, rank), sigma_kp1, lam, eps)
             held += report.holds

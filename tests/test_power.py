@@ -282,8 +282,9 @@ class TestRangeFinderClassical:
         bound_spec, bound_frob = gaussian_rangefinder_bound(profile, k)
         certified = 0
         for trial in range(12):
-            omega = make_sketch("gaussian", 200, 200, substream(2000, trial)).densify()
-            report = certify_spectral_approx(a, a @ omega, lam, 0.5)
+            sketch = make_sketch("gaussian", 200, 200, substream(2000, trial))
+            omega = sketch.densify()
+            report = certify_spectral_approx(a, sketch, lam, 0.5)
             if report.holds:
                 certified += 1
                 q = orthonormalize(a @ omega)
