@@ -29,7 +29,9 @@ would only blur the comparison.
 Error metrics go through :mod:`skpower.diagnostics`, on the residual
 ``A - L R`` of the thin factors each method's ``low_rank`` gives (``Q`` and
 ``Q^T A``, ``Y`` and ``X``, ``C`` and ``W^+ C^T``), without forming it.
-With a thin QR ``L = Q T``, ``B = Q^T A`` and ``D = B - T R``, its squared
+With ``L = Q T`` for an orthonormal ``Q`` (CholeskyQR2, or a Householder
+QR of a left factor too ill-conditioned for it), ``B = Q^T A`` and
+``D = B - T R``, its squared
 Frobenius norm is ``||A||_F^2 - ||B||_F^2 + ||D||_F^2``, and its spectral
 norm is the square root of the top eigenvalue of ``A^T A - B^T B + D^T D``,
 estimated by a seeded block Krylov iteration (a lower bound, stopped at

@@ -9,7 +9,8 @@ sketched power method is expected to meet.
 The certifier and the residual norms work on the Gram ``A.T A`` of the
 matrix's smaller side, which only :func:`matrix_gram` forms.  Each residual
 function checks its operands once and does not form the m x n residual: a
-thin QR of the left factor gives its Frobenius norm from three sums of
+QR factorization of the left factor (CholeskyQR2, Householder where its
+rule rejects the factor) gives its Frobenius norm from three sums of
 squares, and its spectral norm from ``A.T A - B.T B + D.T D``, exactly by
 ``eigvalsh`` or estimated to the fixed relative tolerance ``_ESTIMATOR_TOL``
 by a block Krylov iteration.  Where those differences would cancel beyond
@@ -23,14 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .linalg import as_matrix, frobenius_norm, orthonormal_projection
+from .linalg import _cholesky_qr2, _projection, as_matrix, frobenius_norm
 from .power import choose_q
-from .sketching import _rng
+from .sketching import SketchOperator, _rng
 
 # spectral-norm estimator: block columns (a single start vector misses the
 # top singular vector too often), basis rows before the first growth, and
@@ -143,11 +144,18 @@ def certify_spectral_approx(a, sketch, lam: float, eps: float) -> BoundReport:
     and the norm is that of the min(m, n)-square ``(W S)(W S).T - W W.T``
     (exactly 0 for an identity sketch).  lam = 0 raises for a tall ``a``.
     """
+    return _certifier(a, lam)(sketch, eps)
+
+
+def _certifier(a, lam: float) -> Callable[[SketchOperator, float], BoundReport]:
+    """:func:`certify_spectral_approx` of ``a`` at ``lam``, as a function of ``(sketch, eps)``.
+
+    The Gram's ``eigh``, ``W`` and ``W W.T`` depend on ``a`` and ``lam`` only,
+    so they are formed once here and shared by every sketch certified.
+    """
     a = as_matrix(a, "a")
     if lam < 0.0:
         raise ValueError(f"lam must be >= 0, got {lam}")
-    if eps < 0.0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
     m, n = a.shape
     w, v = np.linalg.eigh(_gram(a).gram)
     w = np.clip(w, 0.0, None)
@@ -157,15 +165,22 @@ def certify_spectral_approx(a, sketch, lam: float, eps: float) -> BoundReport:
         whitened = (v.T @ a) / np.sqrt(w + lam)[:, None]
     else:
         whitened = np.sqrt(w / (w + lam))[:, None] * v.T
-    sketched = sketch.apply_right(whitened)
-    error = sketched @ sketched.T - whitened @ whitened.T
-    measured = float(np.abs(np.linalg.eigvalsh(error)).max())
-    return BoundReport(
-        name="regularized-spectral-approximation",
-        rhs=float(eps),
-        measured=measured,
-        params={"lambda": float(lam), "eps": float(eps), "m": float(m), "r": float(sketch.r)},
-    )
+    reference = whitened @ whitened.T
+
+    def certify(sketch: SketchOperator, eps: float) -> BoundReport:
+        if eps < 0.0:
+            raise ValueError(f"eps must be >= 0, got {eps}")
+        sketched = sketch.apply_right(whitened)
+        error = sketched @ sketched.T - reference
+        measured = float(np.abs(np.linalg.eigvalsh(error)).max())
+        return BoundReport(
+            name="regularized-spectral-approximation",
+            rhs=float(eps),
+            measured=measured,
+            params={"lambda": float(lam), "eps": float(eps), "m": float(m), "r": float(sketch.r)},
+        )
+
+    return certify
 
 
 def _extend(basis, y) -> np.ndarray:
@@ -307,7 +322,9 @@ def _thin(a, left, right, frob2: float) -> _Thin | None:
     """``A - L R`` from its thin factors, or None where that form cancels too much.
 
     On the side of the Gram (a wide A is transposed, and L and R swap to
-    R.T and L.T), a thin QR ``L = Q T`` splits the residual into the
+    R.T and L.T), a factorization ``L = Q T`` with orthonormal ``Q`` (the
+    CholeskyQR2 of :mod:`skpower.linalg`; a Householder QR of an ``L`` its
+    rule rejects, such as a rank-deficient one) splits the residual into the
     orthogonal parts ``(I - Q Q.T) A`` and ``Q D``, with ``B = Q.T A`` and
     ``D = B - T R``.  So ``||A - L R||_F^2 = ||A||_F^2 - ||B||_F^2 + ||D||_F^2``
     and ``(A - L R).T (A - L R) = A.T A - B.T B + D.T D``, and neither needs
@@ -317,7 +334,8 @@ def _thin(a, left, right, frob2: float) -> _Thin | None:
     """
     if a.shape[0] < a.shape[1]:
         a, left, right = a.T, right.T, left.T
-    q, t = np.linalg.qr(left)
+    qr = _cholesky_qr2(left)
+    q, t = np.linalg.qr(left) if qr is None else qr
     b = q.T @ a
     d = b - t @ right
     resid2 = frob2 - _squared_norm(b) + _squared_norm(d)
@@ -331,7 +349,11 @@ def approximation_residuals(a, left, right) -> tuple[float, float]:
     form of :func:`_thin`, ``eigvalsh`` of ``A.T A - B.T B + D.T D`` and the
     Frobenius norm :func:`estimated_approximation_residuals` gives; where it
     cancels, both from the formed residual."""
-    a, left, right = _operands(a, left, right)
+    return _exact_residuals(*_operands(a, left, right))
+
+
+def _exact_residuals(a, left, right) -> tuple[float, float]:
+    """:func:`approximation_residuals` of checked operands."""
     gram = _gram(a)
     thin = _thin(a, left, right, gram.frob2)
     if thin is None:
@@ -355,8 +377,12 @@ def estimated_approximation_residuals(
     would cancel, the residual is formed instead, and its norms are
     :func:`estimate_spectral_norm` and the exact Frobenius norm.
     """
-    a, left, right = _operands(a, left, right)
-    gram = matrix_gram(a) if gram is None else gram
+    return _estimated_residuals(*_operands(a, left, right), seed, gram)
+
+
+def _estimated_residuals(a, left, right, seed: int, gram: MatrixGram | None) -> tuple[float, float]:
+    """:func:`estimated_approximation_residuals` of checked operands."""
+    gram = _gram(a) if gram is None else gram
     g = gram.gram
     if g.shape != (min(a.shape),) * 2:
         raise ValueError(f"gram is {g.shape}, the Gram of the smaller side of a {a.shape} matrix is not")
@@ -370,14 +396,20 @@ def estimated_approximation_residuals(
     return math.sqrt(_golub_kahan(product, product_rows, g.shape, _ESTIMATOR_TOL, _KRYLOV_MAX_STEPS, seed)), thin.frob
 
 
+def _projected(a, q_basis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(a, Q, Q.T a)``, each operand checked once (see :func:`~skpower.linalg.orthonormal_projection`)."""
+    a = as_matrix(a, "a")
+    return (a, *_projection(a, as_matrix(q_basis, "q_basis")))
+
+
 def projection_residuals(a, q_basis) -> tuple[float, float]:
     """Exact (spectral, Frobenius) norms of ``a - Q Q.T a``."""
-    return approximation_residuals(a, *orthonormal_projection(a, q_basis))
+    return _exact_residuals(*_projected(a, q_basis))
 
 
 def estimated_projection_residuals(a, q_basis, seed: int = 0) -> tuple[float, float]:
     """Like :func:`projection_residuals` with the spectral norm estimated."""
-    return estimated_approximation_residuals(a, *orthonormal_projection(a, q_basis), seed=seed)
+    return _estimated_residuals(*_projected(a, q_basis), seed, None)
 
 
 def approximation_error_bound(

@@ -13,6 +13,22 @@ spinning after each call and take the cores away from numpy's pool, which
 stalls a loop that alternates the two (a power pair and its stabilization
 QR).  scipy is used only for sparse matrices and special functions.  Rank
 handling follows the conventions documented on each function.
+
+Skinny factorizations (``orthonormalize``, ``thin_svd`` and ``pinv`` of a
+non-square input, and the residual QR of :mod:`skpower.diagnostics`) run one
+kernel, :func:`_cholesky_qr2`: two Gram-Cholesky passes, all GEMMs and
+c x c factorizations.  LAPACK's Householder panels are slow on such shapes
+at the package's default of 2 BLAS threads (2-vCPU Xeon, scipy-openblas
+0.3.31, medians of 40): the SVD of randsvd's 80 x 1000 ``Q.T A`` took
+18 ms (7-9 ms at one thread) against 4-5 ms through the kernel (4-5 ms at
+one thread), ``pinv`` of a 400 x 80 block 6.7 ms (3-4 ms) against 2 ms, and
+a Householder QR of a 4000 x 40 left factor 10-12 ms (6-7 ms) against
+2 ms.  Householder QR and LAPACK's SVD still run where the kernel's
+condition rule rejects the input (rank-deficient or nearly so; the rank
+is then counted from singular values), on square inputs, which have no
+small factor, and in the Krylov estimator's extension of a 4-row block,
+where LAPACK's fixed cost is lower.  ``data_io`` draws its Haar bases by
+Householder QR on purpose, so every seeded dataset stays the same.
 """
 
 from __future__ import annotations
@@ -48,8 +64,11 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 def orthonormal_projection(a, q_basis) -> tuple[np.ndarray, np.ndarray]:
     """``(Q, Q.T @ a)``, raising unless Q's columns are orthonormal within 1e-6 and it has ``a``'s rows."""
-    a = as_matrix(a, "a")
-    q_basis = as_matrix(q_basis, "q_basis")
+    return _projection(as_matrix(a, "a"), as_matrix(q_basis, "q_basis"))
+
+
+def _projection(a: np.ndarray, q_basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`orthonormal_projection` of checked operands."""
     dev = np.abs(q_basis.T @ q_basis - np.eye(q_basis.shape[1])).max()
     if dev > 1e-6:
         raise ValueError(f"Q is not orthonormal (deviation {dev:.3e})")
@@ -88,19 +107,15 @@ def orthonormalize(y, tol: float | None = None) -> np.ndarray:
 
     The basis has exactly the numerical rank of ``y``: the number of
     singular values at or above ``tol`` times the largest, possibly fewer
-    columns than ``y``.  The general path is a Householder QR ``y = Q R``
-    followed by an SVD of the small ``R``; the rank is counted from R's
-    singular values and the basis is ``Q`` times R's leading left singular
-    vectors.
-
-    When ``y`` is well conditioned, CholeskyQR2 (Yamamoto, Nakatsukasa,
-    Yanagisawa & Fukaya, ETNA 2015) is used instead: ``R = chol(y.T y)``,
-    ``Q = y R^-1``, done twice.  It is taken only when both Cholesky
-    factorizations succeed and each ``cond(R) <= min(eps^(-1/2), 1/tol)``;
-    in that range the general path keeps every column, and two passes give
-    orthogonality to working precision.  Both paths return a basis of the
-    same span.  :func:`span_basis` is its span-only sibling, run between
-    power steps: one pass, with this function as the fallback.
+    columns than ``y``.  A well-conditioned ``y`` takes the ``Q`` of
+    :func:`_cholesky_qr2`, run with the condition bound
+    ``min(eps^(-1/2), 1/tol)``; in that range the general path keeps every
+    column, and two passes give orthogonality to working precision.  The
+    general path is a Householder QR ``y = Q R`` followed by an SVD of the
+    small ``R``; the rank is counted from R's singular values and the basis
+    is ``Q`` times R's leading left singular vectors.  Both paths return a
+    basis of the same span.  :func:`span_basis` is its span-only sibling,
+    run between power steps: one pass, with this function as the fallback.
 
     Parameters
     ----------
@@ -112,10 +127,8 @@ def orthonormalize(y, tol: float | None = None) -> np.ndarray:
     y = as_matrix(y, "y")
     if tol is None:
         tol = _default_rel_tol(y.shape)
-    max_cond = min(_CHOLQR_MAX_COND, 1.0 / tol)
-    q = _cholesky_qr_pass(y, max_cond)
-    q = None if q is None else _cholesky_qr_pass(q, max_cond)
-    return _qr_svd_basis(y, tol) if q is None else q
+    qr = _cholesky_qr2(y, min(_CHOLQR_MAX_COND, 1.0 / tol))
+    return _qr_svd_basis(y, tol) if qr is None else qr[0]
 
 
 def span_basis(y) -> np.ndarray:
@@ -137,17 +150,46 @@ def span_basis(y) -> np.ndarray:
 _CHOLQR_MAX_COND = np.finfo(np.float64).eps ** -0.5
 
 
-def _cholesky_qr_pass(y: np.ndarray, max_cond: float | None = None) -> np.ndarray | None:
-    """``y R^-1`` with ``R.T R = y.T y``; None if the Cholesky fails or cond(R) > max_cond."""
+def _gram_cholesky(y: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of ``y.T y``, or None where the factorization fails."""
     try:
-        lower = np.linalg.cholesky(y.T @ y)
+        return np.linalg.cholesky(y.T @ y)
     except np.linalg.LinAlgError:
         return None
-    if max_cond is not None:
-        sv = np.linalg.svd(lower, compute_uv=False)
-        if not (np.isfinite(sv[0]) and sv[0] <= max_cond * sv[-1]):
+
+
+def _cholesky_qr_pass(y: np.ndarray) -> np.ndarray | None:
+    """``y R^-1`` with ``R.T R = y.T y``; None if the Cholesky fails."""
+    lower = _gram_cholesky(y)
+    return None if lower is None else y @ np.linalg.inv(lower).T
+
+
+def _cholesky_qr2(y: np.ndarray, max_cond: float = _CHOLQR_MAX_COND) -> tuple[np.ndarray, np.ndarray] | None:
+    """CholeskyQR2 (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, ETNA 2015) of a checked ``y`` (m x c, m >= c).
+
+    Returns ``(Q, R)`` with ``y = Q R``, ``Q`` orthonormal to working
+    precision and ``R`` c x c, from two passes ``R_i = chol(Q_{i-1}.T Q_{i-1})``,
+    ``Q_i = Q_{i-1} R_i^-1``, ``R = R_2 R_1``.  The one acceptance rule: both
+    Cholesky factorizations succeed and each factor has
+    ``||R_i||_F ||R_i^-1||_F <= max_cond``, an upper bound on its 2-norm
+    condition number that costs no SVD.  Otherwise it returns None, and the
+    caller falls back to Householder QR or the SVD.  In exact arithmetic
+    the second pass is the identity, so an accepted ``y`` has
+    ``cond(y) <= eps^(-1/2)``: no singular value falls below
+    ``max(m, c) eps sigma_1`` while ``max(m, c) < eps^(-1/2)``.  The passes
+    are GEMMs and c x c factorizations, so a skinny ``y`` runs no
+    Householder panel.
+    """
+    q, r = y, None
+    for _ in range(2):
+        lower = _gram_cholesky(q)
+        if lower is None:
             return None
-    return y @ np.linalg.inv(lower).T
+        r_inv = np.linalg.inv(lower).T
+        if not np.linalg.norm(lower) * np.linalg.norm(r_inv) <= max_cond:
+            return None
+        q, r = q @ r_inv, lower.T if r is None else lower.T @ r
+    return q, r
 
 
 def _qr_svd_basis(y: np.ndarray, tol: float) -> np.ndarray:
@@ -160,21 +202,56 @@ def _qr_svd_basis(y: np.ndarray, tol: float) -> np.ndarray:
     return q @ u[:, :rank]
 
 
-def thin_svd(a) -> SvdResult:
-    """Thin (economy) SVD of ``a`` with descending singular values."""
-    a = as_matrix(a, "a")
+def _tall_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """:func:`_cholesky_qr2` of a non-square ``a`` on its long side (``a.T`` when wide).
+
+    None for a square ``a``, which has no small factor to gain, or a rejected one.
+    """
+    m, n = a.shape
+    return None if m == n else _cholesky_qr2(a if m > n else a.T)
+
+
+def _lapack_svd(a: np.ndarray) -> SvdResult:
+    """LAPACK's thin SVD (``gesdd``) of a checked ``a``."""
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     return SvdResult(U=u, sigma=s, V=vh.T.copy())
 
 
+def thin_svd(a) -> SvdResult:
+    """Thin (economy) SVD of ``a`` with descending singular values.
+
+    A non-square ``a`` is factored on its long side by CholeskyQR2,
+    ``a = Q R`` (``a.T = Q R`` when wide, where U and V swap roles), and the
+    SVD runs on the small square ``R``.  A square input, and one the
+    CholeskyQR2 rule rejects, takes LAPACK's SVD of ``a`` itself.
+    """
+    a = as_matrix(a, "a")
+    qr = _tall_qr(a)
+    if qr is None:
+        return _lapack_svd(a)
+    q, r = qr
+    u, s, vh = np.linalg.svd(r)
+    if a.shape[0] > a.shape[1]:
+        return SvdResult(U=q @ u, sigma=s, V=vh.T.copy())
+    return SvdResult(U=vh.T.copy(), sigma=s, V=q @ u)
+
+
 def pinv(m) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via the thin SVD.
+    """Moore-Penrose pseudoinverse.
 
     Singular values at or below ``max(rows, cols) * eps * sigma_max`` are
-    treated as zero.
+    treated as zero.  A non-square ``m`` that CholeskyQR2 accepts has none
+    (see :func:`_cholesky_qr2`), so its pseudoinverse is ``R^-1 Q.T`` of
+    ``m = Q R`` (the transpose of that of ``m.T`` when wide); any other
+    input takes LAPACK's SVD.
     """
     m = as_matrix(m, "m")
-    u, s, v = thin_svd(m)
+    qr = _tall_qr(m)
+    if qr is not None:
+        q, r = qr
+        inv = np.linalg.inv(r) @ q.T
+        return inv if m.shape[0] > m.shape[1] else inv.T
+    u, s, v = _lapack_svd(m)
     if s[0] == 0.0:
         return np.zeros((m.shape[1], m.shape[0]))
     keep = s > _default_rel_tol(m.shape) * s[0]

@@ -369,6 +369,18 @@ class TestVerify:
         assert code == 0
         assert float(parse_kv(out)["pass_rate"]) == 1.0
 
+    def test_gram_decomposed_once_per_run(self, capsys, monkeypatch):
+        # the whitening depends on the matrix alone: one eigh for all trials
+        calls = []
+        real = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda x: calls.append(x.shape) or real(x))
+        code, out, _ = run_cli(
+            capsys, "verify", "--data", "polydecay:60x40:seed=1", "--sketch", "countsketch", "--r", "20",
+            "--k", "4", "--trials", "3", "--threshold", "0",
+        )
+        assert code == 0 and calls == [(40, 40)]
+        assert float(parse_kv(out)["trials"]) == 3
+
 
 class TestBench:
     def test_bench_writes_csv(self, tmp_path, capsys):

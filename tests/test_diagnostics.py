@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg as sla
 
 import skpower.diagnostics as diag_mod
+import skpower.linalg as linalg_mod
 from conftest import psd_polydecay, random_lowrank
 from skpower.data_io import _haar_columns, gen_lowrank_plus_noise, gen_polydecay
 from skpower.diagnostics import (
@@ -125,6 +126,17 @@ class TestCertifier:
         sketch = make_sketch("gaussian", 35, 60, seed=7)
         report = certify_spectral_approx(a, sketch, 0.0, eps=0.5)
         assert abs(self._pencil_deviation(a, sketch.apply_right(a), 0.0) - report.measured) <= 1e-8
+
+    @pytest.mark.parametrize("shape", [(40, 30), (30, 40)], ids=["tall", "wide"])
+    def test_shared_certifier_gives_the_per_call_values(self, shape):
+        # verify certifies every trial's sketch on one whitening of a: each
+        # value is bit for bit that of its own certify_spectral_approx call
+        a = gen_polydecay(*shape, seed=8)
+        lam = regularization_level(SpectralProfile.from_matrix(a), 5)
+        certify = diag_mod._certifier(a, lam)
+        for seed in range(3):
+            sketch = make_sketch("countsketch", shape[1], 20, seed=seed)
+            assert certify(sketch, 0.5).as_row() == certify_spectral_approx(a, sketch, lam, 0.5).as_row()
 
     def test_report_row_shape(self):
         report = BoundReport(name="x", rhs=1.0, measured=0.5, params={"k": 3.0})
@@ -379,6 +391,20 @@ def test_operands_checked_once_per_public_call(monkeypatch, noise, thin):
     estimated_approximation_residuals(a, left, right, seed=43, gram=gram)
     assert checked == ["a", "left", "right"] + ([] if thin else ["a"])
     assert len(formed) == (not thin)
+    # the projection wrappers check a and Q once each, through either binding
+    # (Q.T a is formed from them); only the fallback checks its residual
+    scanned = []
+    real_linalg_check = linalg_mod.as_matrix
+    monkeypatch.setattr(linalg_mod, "as_matrix", lambda x, name: scanned.append(name) or real_linalg_check(x, name))
+    for wrapper in (projection_residuals, estimated_projection_residuals):
+        checked.clear()
+        formed.clear()
+        scanned.clear()
+        wrapper(a, left)
+        fallback_scans = ["a"] if wrapper is estimated_projection_residuals else []
+        assert checked == ["a", "q_basis"] + ([] if thin else fallback_scans)
+        assert scanned == ([] if thin else ["a"])  # frobenius_norm of the formed residual
+        assert len(formed) == (not thin)
 
 
 def test_gram_of_another_shape_rejected():

@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ import scipy.linalg as sla
 from conftest import psd_sqrt
 
 import skpower
-from skpower import linalg
-from skpower.data_io import gen_expdecay
-from skpower.power import RangeFinderSpec, range_finder_sketched
+from skpower import diagnostics, linalg
+from skpower.data_io import gen_expdecay, gen_polydecay
+from skpower.diagnostics import estimated_approximation_residuals, matrix_gram
+from skpower.power import RangeFinderSpec, lowrank_factorize, randsvd, range_finder_sketched
 from skpower.linalg import orthonormalize, pinv, psd_eigenvalues, span_basis, thin_svd
 
 
@@ -247,6 +249,150 @@ class TestPinv:
         assert np.linalg.norm(mp @ m @ mp - mp) <= 1e-8 * np.linalg.norm(mp)
         np.testing.assert_allclose(m @ mp, (m @ mp).T, atol=1e-8)
         np.testing.assert_allclose(mp @ m, (mp @ m).T, atol=1e-8)
+
+
+def _svd_pinv(m, svd=None):
+    """The pseudoinverse from LAPACK's SVD ``svd`` of ``m``, with pinv's cut-off: the reference for rejected inputs."""
+    u, s, vh = np.linalg.svd(m, full_matrices=False) if svd is None else svd
+    if s[0] == 0.0:
+        return np.zeros((m.shape[1], m.shape[0]))
+    keep = s > max(m.shape) * np.finfo(float).eps * s[0]
+    inv = np.zeros_like(s)
+    inv[keep] = 1.0 / s[keep]
+    return (vh.T.copy() * inv) @ u.T
+
+
+def _assert_svd_within(a, res, tol):
+    """``res`` is a thin SVD of ``a`` within ``tol * sigma_1``: values, reconstruction, orthonormality."""
+    reference = np.linalg.svd(a, compute_uv=False)
+    top = reference[0]
+    p = reference.size
+    assert res.U.shape == (a.shape[0], p) and res.V.shape == (a.shape[1], p)
+    assert np.abs(res.sigma - reference).max() <= tol * top
+    assert np.all(np.diff(res.sigma) <= 0.0) and res.sigma[-1] >= 0.0
+    assert np.linalg.norm((res.U * res.sigma) @ res.V.T - a) <= tol * top  # Frobenius, above the 2-norm
+    assert np.abs(res.U.T @ res.U - np.eye(p)).max() <= tol
+    assert np.abs(res.V.T @ res.V - np.eye(p)).max() <= tol
+
+
+def _assert_penrose(m, mp, tol):
+    """The four Penrose identities within ``tol``: relative to the norms, and absolutely for the two projectors."""
+    assert np.linalg.norm(m @ (mp @ m) - m) <= tol * np.linalg.norm(m)
+    assert np.linalg.norm((mp @ m) @ mp - mp) <= tol * np.linalg.norm(mp)
+    assert np.abs(m @ mp - (m @ mp).T).max() <= tol
+    assert np.abs(mp @ m - (mp @ m).T).max() <= tol
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Shapes of the inputs that reach LAPACK's SVD in ``thin_svd`` and ``pinv``."""
+    calls = []
+    real = linalg._lapack_svd
+
+    def spy(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(linalg, "_lapack_svd", spy)
+    return calls
+
+
+# the shapes the engine factors: randsvd's Q.T A, the regression's S2.T Y,
+# bench-curve's S2.T Y and a left factor at criterion 8's scale; and a square one
+_KERNEL_SHAPES = [(80, 1000), (400, 80), (150, 20), (4000, 80), (60, 60)]
+
+
+class TestCholeskyQr2Kernel:
+    """``thin_svd``, ``pinv`` and ``orthonormalize`` on the one CholeskyQR2 of ``linalg``."""
+
+    @pytest.mark.parametrize("shape", _KERNEL_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_thin_svd_and_pinv_match_lapack(self, lapack_calls, shape):
+        m, n = shape
+        p = min(shape)
+        a = _block(max(shape), np.logspace(0, -3, p), seed=50 + p)
+        a = a if m >= n else a.T
+        res, mp = thin_svd(a), pinv(a)
+        # a square input has no small factor: it takes LAPACK's SVD itself
+        assert lapack_calls == ([shape, shape] if m == n else [])
+        _assert_svd_within(a, res, 1e-13)
+        _assert_penrose(a, mp, 1e-12)
+        reference = _svd_pinv(a)
+        assert np.abs(mp - reference).max() <= 1e-9 * np.abs(reference).max()
+
+    def test_kernel_factors(self):
+        y = _block(400, np.logspace(0, -5, 80), seed=51)
+        q, r = linalg._cholesky_qr2(y)
+        assert np.abs(q.T @ q - np.eye(80)).max() <= 1e-14
+        assert np.linalg.norm(q @ r - y) <= 1e-14 * np.linalg.norm(y)
+        np.testing.assert_array_equal(orthonormalize(y), q)
+
+    def test_rule_rejects_rank_deficient_and_wide_blocks(self):
+        y = _block(300, np.r_[np.ones(10), np.zeros(5)], seed=52)
+        assert linalg._cholesky_qr2(y) is None
+        assert linalg._cholesky_qr2(np.ones((3, 5))) is None
+        assert linalg._cholesky_qr2(np.zeros((6, 2))) is None
+
+    def test_near_rank_deficient_sweep(self, lapack_calls):
+        # rank r < min(m, n) plus Gaussian noise of norm about 1e-16 .. 1e-4:
+        # an input the rule accepts meets the bounds of the well-conditioned
+        # case; one it rejects gets LAPACK's SVD and pseudoinverse bit for bit
+        accepted = rejected = 0
+        for shape in _KERNEL_SHAPES[:3]:
+            p = min(shape)
+            for rank in (1, p // 2, p - 1):
+                for noise in 10.0 ** np.arange(-16.0, -3.0, 3.0):
+                    rng = np.random.default_rng([rank, int(-np.log10(noise)), *shape])
+                    a = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+                    a = a / np.linalg.norm(a, 2) + noise * rng.standard_normal(shape) / np.sqrt(max(shape))
+                    lapack_calls.clear()
+                    res, mp = thin_svd(a), pinv(a)
+                    if linalg._tall_qr(a) is not None:
+                        accepted += 1
+                        assert lapack_calls == []
+                        _assert_svd_within(a, res, 1e-13)
+                        _assert_penrose(a, mp, 1e-8)
+                    else:
+                        rejected += 1
+                        assert lapack_calls == [shape, shape]
+                        u, s, vh = svd = np.linalg.svd(a, full_matrices=False)
+                        np.testing.assert_array_equal(res.U, u)
+                        np.testing.assert_array_equal(res.sigma, s)
+                        np.testing.assert_array_equal(res.V, vh.T)
+                        np.testing.assert_array_equal(mp, _svd_pinv(a, svd))
+        assert accepted >= 10 and rejected >= 10
+
+
+def test_skinny_factorizations_run_no_lapack_panels(monkeypatch):
+    # On a well-conditioned input every skinny factorization of the engine
+    # (the basis, randsvd's Q.T A, the regression's S2.T Y, the residual's
+    # left factor) runs CholeskyQR2: LAPACK's SVD and Householder QR see no
+    # non-square operand.  The one exception is the block Krylov estimator's
+    # extension step, whose SVD of a block of at most _KRYLOV_BLOCK rows stays
+    # on LAPACK (faster there at n = 400, and the same at one BLAS thread)
+    a = gen_polydecay(1200, 600, seed=60)
+    spec = RangeFinderSpec(k=20, l=200, r1=200, r2=40, q=3, eps=0.5, seed=61)
+    gram = matrix_gram(a)
+    calls = []
+    for name in ("svd", "qr"):
+        real = getattr(np.linalg, name)
+
+        def spy(x, *args, _real=real, _name=name, **kwargs):
+            if x.shape[0] != x.shape[1]:
+                calls.append((_name, x.shape, sys._getframe(1).f_code.co_name))
+            return _real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    q = range_finder_sketched(a, spec)
+    randsvd(a, q)
+    factors = lowrank_factorize(a, spec)
+    calls_before_residuals = list(calls)
+    for left, right in ((q, q.T @ a), (factors.Y, factors.X)):
+        estimated_approximation_residuals(a, left, right, seed=62, gram=gram)
+    assert calls_before_residuals == []
+    assert calls and all(
+        (name, caller) == ("svd", "_extend") and shape[0] <= diagnostics._KRYLOV_BLOCK
+        for name, shape, caller in calls
+    )
 
 
 class TestPsdEigenvalues:
