@@ -57,9 +57,25 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-D, got ndim={out.ndim}")
     if out.size == 0:
         raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(out)):
+    if not _all_finite(out):
         raise ValueError(f"{name} contains non-finite entries")
     return out
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite, in one BLAS dot where ``a`` is contiguous.
+
+    A sum of squares is finite only if every square is, since squares
+    cannot cancel; a non-finite sum (a NaN or inf entry, or an overflow of
+    entries near 1e154 and above) is settled by the elementwise scan.
+    """
+    if a.flags.c_contiguous or a.flags.f_contiguous:
+        flat = a.ravel(order="K")
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.dot(flat, flat)
+        if np.isfinite(total):
+            return True
+    return bool(np.isfinite(a).all())
 
 
 def orthonormal_projection(a, q_basis) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,7 @@
 import ast
 import pathlib
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -442,3 +443,38 @@ def test_pythagorean_identity():
         total = np.linalg.norm(a) ** 2
         split = np.linalg.norm(proj) ** 2 + np.linalg.norm(a - proj) ** 2
         assert abs(total - split) <= 1e-8 * total
+
+
+class TestAsMatrix:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+    def test_rejects_a_non_finite_entry_anywhere(self, bad, where, layout):
+        base = np.random.default_rng(12).standard_normal((30, 42))
+        a = {"C": base[:, :21].copy(), "F": np.asfortranarray(base[:, :21]), "sliced": base[:, ::2]}[layout]
+        assert a.shape == (30, 21)
+        index = {"first": (0, 0), "middle": (15, 10), "last": (29, 20)}[where]
+        a[index] = bad
+        with pytest.raises(ValueError, match="x contains non-finite entries"):
+            linalg.as_matrix(a, "x")
+
+    @pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+    def test_accepts_entries_whose_squares_overflow(self, layout):
+        # the sum of squares is inf, so the elementwise scan settles it: every entry is finite
+        base = np.full((6, 8), 1e200)
+        base[0, 0] = -1e200
+        a = {"C": base, "F": np.asfortranarray(base), "sliced": base[::2, ::3]}[layout]
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.dot(base.ravel(), base.ravel()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and the overflow stays silent
+            np.testing.assert_array_equal(linalg.as_matrix(a), a)
+
+    def test_returns_the_input_unchanged(self):
+        a = np.asfortranarray(np.random.default_rng(13).standard_normal((5, 4)))
+        assert linalg.as_matrix(a) is a
+        np.testing.assert_array_equal(linalg.as_matrix(a[:, ::2]), a[:, ::2])
+        with pytest.raises(ValueError, match="2-D"):
+            linalg.as_matrix(np.ones(3))
+        with pytest.raises(ValueError, match="non-empty"):
+            linalg.as_matrix(np.ones((0, 3)))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,56 @@ def test_srht_apply_at_workload_padding(n):
         expected_t = dense.T @ b
         gap_t = np.abs(op.apply_left_transpose(b) - expected_t).max() / np.abs(expected_t).max()
         assert gap_t <= 1e-12, r
+
+
+def _srht_inputs(rng, rows, n):
+    """``rows x n`` inputs in the layouts an apply meets: C, F, a row-strided
+    slice with one unit stride, and a view with none (copied before BLAS reads it)."""
+    base = rng.standard_normal((2 * rows, 2 * n + 1))
+    return {
+        "C": np.ascontiguousarray(base[:rows, :n]),
+        "F": np.asfortranarray(base[:rows, :n]),
+        "sliced": base[::2, 1 : n + 1],
+        "strided": base[::2, ::2][:, :n],
+    }
+
+
+@pytest.mark.parametrize("n", [1, 3, 20, 24, 37, 100, 1000, 1025, 2000])
+def test_srht_applies_match_densify(n):
+    # partial last blocks (3, 37, 100, 1000, 1025, 2000), the smallest splits, and the
+    # workload's sizes; r = 1, one small-factor block, every padded row, and 400
+    n_pad = 1 << (n - 1).bit_length()
+    small = 1 << (n_pad.bit_length() - 1) // 2
+    rng = np.random.default_rng(n)
+    for r in sorted({1, small, n_pad} | ({400} if 400 <= n_pad else set())):
+        op = make_sketch("srht", n, r, seed=substream(22, n, r))
+        dense = op.densify()
+        for rows in (1, 7):
+            for layout, a in _srht_inputs(rng, rows, n).items():
+                expected = a @ dense
+                gap = np.abs(op.apply_right(a) - expected).max() / np.abs(expected).max()
+                assert gap <= 1e-12, (r, rows, layout)
+                b = a.T  # n x rows, every layout transposed
+                expected_t = dense.T @ b
+                gap_t = np.abs(op.apply_left_transpose(b) - expected_t).max() / np.abs(expected_t).max()
+                assert gap_t <= 1e-12, (r, rows, layout)
+
+
+@pytest.mark.parametrize("side", ["right", "left_transpose"])
+def test_srht_apply_holds_at_most_one_input_sized_temporary(side):
+    # 2000 x 1000 with n = 1000 (A S) or 2000 (S.T A); a padded, signed copy of the
+    # input and a full second transform would each be input-sized
+    a = np.random.default_rng(23).standard_normal((2000, 1000))
+    n = a.shape[1] if side == "right" else a.shape[0]
+    op = make_sketch("srht", n, 400, seed=24)
+    apply = getattr(op, f"apply_{side}")
+    tracemalloc.start()
+    try:
+        out = apply(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * a.nbytes + out.nbytes, peak / a.nbytes
 
 
 class TestSketchSize:
