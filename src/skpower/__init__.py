@@ -54,6 +54,7 @@ from .diagnostics import (
     BoundReport,
     MatrixGram,
     SpectralProfile,
+    WarmStart,
     approximation_error_bound,
     approximation_residuals,
     certify_spectral_approx,

@@ -27,25 +27,33 @@ the methods being compared at a fixed target rank, so accumulating it
 would only blur the comparison.
 
 Error metrics go through :mod:`skpower.diagnostics`, on the residual
-``A - L R`` of the thin factors each method's ``low_rank`` gives (``Q`` and
-``Q^T A``, ``Y`` and ``X``, ``C`` and ``W^+ C^T``), without forming it.
-With ``L = Q T`` for an orthonormal ``Q`` (CholeskyQR2, or a Householder
-QR of a left factor too ill-conditioned for it), ``B = Q^T A`` and
-``D = B - T R``, its squared
-Frobenius norm is ``||A||_F^2 - ||B||_F^2 + ||D||_F^2``, and its spectral
-norm is the square root of the top eigenvalue of ``A^T A - B^T B + D^T D``,
-estimated by a seeded block Krylov iteration (a lower bound, stopped at
-relative change 1e-6).  The Gram ``A^T A`` (of the smaller side) and
-``||A||_F^2`` are formed once per run, untimed.  Where the differences
-would cancel beyond the estimator's accuracy (an input that is almost
-exactly of low rank), the residual is formed and its norms taken from it.
-``rel_err`` is :func:`~skpower.diagnostics.relative_error`, residual /
-sigma_{k+1} - 1 against the profile of the dataset (the absolute
-eigenvalues of an exactly symmetric matrix, else a full SVD; computed once,
-untimed).
+``A - L R`` of the thin factors each method's ``low_rank`` gives (``Y`` and
+``X``, ``C`` and ``W^+ C^T``), without forming it; a randsvd basis ``Q`` is
+measured as the projection ``A - Q Q^T A``.  With ``L = Q T`` for an
+orthonormal ``Q`` (``L`` itself with ``T = I`` where it is orthonormal to
+working precision, as a basis is, whose projection then has ``D = 0``;
+else CholeskyQR2, or a Householder QR of a left factor too ill-conditioned
+for it), ``B = Q^T A`` and ``D = B - T R``, its
+squared Frobenius norm is ``||A||_F^2 - ||B||_F^2 + ||D||_F^2``, and its
+spectral norm is the square root of the top eigenvalue of
+``A^T A - B^T B + D^T D``, estimated by a seeded block Krylov iteration (a
+lower bound, stopped at relative change 1e-6).  Along a series each
+estimate starts from the top Ritz directions of the previous point's
+(:class:`~skpower.diagnostics.WarmStart`; the q = 0 point starts cold), in
+place of three of its four Gaussian start columns: consecutive points
+approximate nearly the same residual, so the estimates take fewer steps.
+The Gram ``A^T A`` (of the smaller side) and ``||A||_F^2`` are formed once
+per run, untimed.  Where the differences would cancel beyond the
+estimator's accuracy (an input that is almost exactly of low rank), the
+residual is formed and its norms taken from it, and the next point starts
+cold.  ``rel_err`` is :func:`~skpower.diagnostics.relative_error`, residual
+/ sigma_{k+1} - 1 against the profile of the dataset (the absolute
+eigenvalues of an exactly symmetric matrix, taken from the psd check where
+a Nystrom method ran it, else a full SVD; computed once, untimed).
 
-Every row is regenerable: :func:`replay_record` reruns the row's
-(method, parameters, seed, q) combination and returns the same errors.
+Every row is regenerable: :func:`replay_record` reruns the row's (method,
+parameters, seed) series from q = 0 through the row's q, each estimate
+warm-started as the run started it, and returns the same errors.
 """
 
 from __future__ import annotations
@@ -60,8 +68,9 @@ from .data_io import TrialRecord
 from .diagnostics import (
     MatrixGram,
     SpectralProfile,
+    WarmStart,
     estimated_approximation_residuals,
-    estimated_projection_residuals,  # not called here; a binding the perfbench tracer wraps
+    estimated_projection_residuals,
     matrix_gram,
     relative_error,
 )
@@ -174,20 +183,34 @@ def _series(a, method: str, k: int, l: int, q: int, seed: int, **params):
     return _iterates(a, RangeFinderSpec(k=k, l=l, r1=l, r2=k, q=q, seed=seed, **params), method)
 
 
-def _errors(a, entry, state, profile: SpectralProfile, gram: MatrixGram):
-    """``(spec_err, frob_err, rel_err)`` of the factors ``entry`` assembles from ``state``."""
-    left, right = entry.low_rank(a, entry.assemble(state))
+def _errors(a, entry, state, profile: SpectralProfile, gram: MatrixGram, warm: WarmStart):
+    """``(spec_err, frob_err, rel_err)`` of the factors ``entry`` assembles from ``state``.
+
+    A basis ``Q`` is measured as the projection ``Q Q^T A``, every other
+    method on its thin pair ``L R``.
+    """
+    factors = entry.assemble(state)
     seed = substream(state.spec.seed, _ERR_STREAM, state.q)
-    norm, frob = estimated_approximation_residuals(a, left, right, seed=seed, gram=gram)
+    if "Q" in factors:
+        norm, frob = estimated_projection_residuals(a, factors["Q"], seed=seed, gram=gram, warm=warm)
+    else:
+        left, right = entry.low_rank(a, factors)
+        norm, frob = estimated_approximation_residuals(a, left, right, seed=seed, gram=gram, warm=warm)
     return norm, frob, relative_error(norm, profile, state.spec.k)
 
 
+def _series_errors(a, method: str, states, profile: SpectralProfile, gram: MatrixGram, points: int):
+    """``(state, errors)`` for the first ``points`` states of one series, each
+    point's Krylov estimate started from the previous point's Ritz directions."""
+    entry, warm = _METHODS[method], WarmStart()
+    for state in islice(states, points):
+        yield state, _errors(a, entry, state, profile, gram, warm)
+
+
 def _run_series(a, profile, gram, cfg: BenchConfig, method: str, trial: int, states):
-    entry = _METHODS[method]
-    countsketch = cfg.sketch_kind == "countsketch" and entry.applies_sketch
+    countsketch = cfg.sketch_kind == "countsketch" and _METHODS[method].applies_sketch
     rows = []
-    for state in islice(states, cfg.q_max_for(method) + 1):
-        spec_err, frob, rel = _errors(a, entry, state, profile, gram)
+    for state, (spec_err, frob, rel) in _series_errors(a, method, states, profile, gram, cfg.q_max_for(method) + 1):
         rows.append(
             TrialRecord(
                 method=method,
@@ -217,15 +240,19 @@ def replay_record(a, rec: TrialRecord, sketch_kind: str = "countsketch"):
     """Rerun one recorded (method, parameters, seed, q) point; returns errors.
 
     The returned ``(spec_err, frob_err, rel_err)`` reproduce the recorded
-    values (timings are not reproducible and are ignored).  The matrix and
-    the row's spec are checked as the library checks them.
+    values (timings are not reproducible and are ignored): the row's series
+    runs from q = 0 through ``q_iter``, its estimates warm-started point to
+    point as :func:`run_benchmark` ran them.  The matrix and the row's spec,
+    its ``q_iter`` included, are checked as the library checks them.
     """
-    a = _checked(a, [rec.method])
-    states = _series(
-        a, rec.method, rec.k, rec.l, rec.q_iter, rec.seed, eps=rec.eps, sketch_kind=sketch_kind,
-        s=rec.s if rec.s else 1,
-    )
-    return _errors(a, _METHODS[rec.method], next(states), SpectralProfile.from_matrix(a), matrix_gram(a))
+    a, eigenvalues = _checked(a, [rec.method])
+    params = dict(eps=rec.eps, sketch_kind=sketch_kind, s=rec.s if rec.s else 1)
+    _series(a, rec.method, rec.k, rec.l, rec.q_iter, rec.seed, **params).close()  # the row's own spec, checked
+    states = _series(a, rec.method, rec.k, rec.l, 0, rec.seed, **params)
+    profile = SpectralProfile.from_matrix(a, eigenvalues)
+    *_, (_, errors) = _series_errors(a, rec.method, states, profile, matrix_gram(a), rec.q_iter + 1)
+    states.close()
+    return errors
 
 
 def run_benchmark(cfg: BenchConfig, progress=None) -> list[TrialRecord]:
@@ -238,7 +265,7 @@ def run_benchmark(cfg: BenchConfig, progress=None) -> list[TrialRecord]:
     ``progress`` is called with the last row of each series once it is written.
     """
     cfg.validate()
-    a = _checked(data_io.load_matrix(cfg.dataset), cfg.methods)
+    a, eigenvalues = _checked(data_io.load_matrix(cfg.dataset), cfg.methods)
     params = dict(eps=cfg.eps, sketch_kind=cfg.sketch_kind, s=cfg.s)
     tasks = [  # every series' spec is validated here, before the profile and the CSV
         (method, trial, _series(a, method, cfg.k, l, 0, substream(cfg.root_seed, mi, li, trial), **params))
@@ -246,7 +273,7 @@ def run_benchmark(cfg: BenchConfig, progress=None) -> list[TrialRecord]:
         for li, l in enumerate(cfg.l_values)
         for trial in range(cfg.trials)
     ]
-    profile = SpectralProfile.from_matrix(a)
+    profile = SpectralProfile.from_matrix(a, eigenvalues)  # a psd input is not decomposed again
     relative_error(0.0, profile, cfg.k)  # fail before the first series if sigma_(k+1) is missing or zero
     gram = matrix_gram(a)  # once per run: every error point reuses it
 

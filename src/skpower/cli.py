@@ -115,8 +115,9 @@ def _cmd_run(args) -> int:
         stabilized=not args.no_stabilize,
         s=s,
     )
-    saved, stage, spec = power._advance(a, spec, args.method)  # first: a rejected input costs no SVD
-    profile = diagnostics.SpectralProfile.from_matrix(a)
+    # first: a rejected input costs no SVD, and a psd one is decomposed by its check alone
+    saved, stage, spec, eigenvalues = power._advance(a, spec, args.method)
+    profile = diagnostics.SpectralProfile.from_matrix(a, eigenvalues)
     left, right = entry.low_rank(a, saved)
     spec_err, frob_err = diagnostics.approximation_residuals(a, left, right)
     if "Q" in saved:  # a basis: report its randomized SVD

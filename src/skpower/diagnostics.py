@@ -14,8 +14,13 @@ rule rejects the factor) gives its Frobenius norm from three sums of
 squares, and its spectral norm from ``A.T A - B.T B + D.T D``, exactly by
 ``eigvalsh`` or estimated to the fixed relative tolerance ``_ESTIMATOR_TOL``
 by a block Krylov iteration.  Where those differences would cancel beyond
-that tolerance, the residual is formed after all.  A profile of an exactly
-symmetric matrix comes from its eigenvalues instead of a full SVD.
+that tolerance, the residual is formed after all.  A left factor already
+orthonormal to working precision (``max |L.T L - I| <= _BASIS_DEV``, as
+every engine basis is) is not factored again: it is its own Q, and for a
+projection ``Q Q.T A`` the right factor is ``B`` itself.  An estimate can
+start from the Ritz directions of the previous point of its series
+(:class:`WarmStart`).  A profile of an exactly symmetric matrix comes from its
+eigenvalues instead of a full SVD, taken from the psd check where it ran.
 Bound evaluations are returned as :class:`BoundReport` rows so the
 constants actually used are recorded next to the verdict.
 """
@@ -27,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .linalg import _cholesky_qr2, _projection, as_matrix, frobenius_norm
 from .power import choose_q
@@ -47,6 +51,11 @@ _KRYLOV_MAX_STEPS = 1000
 # only, and the spectral norm by at most tol^2 min(m, n) relative, below tol
 _EPS = np.finfo(np.float64).eps
 _THIN_LOSS = _ESTIMATOR_TOL**2
+# a left factor L with max |L.T L - I| <= _BASIS_DEV is its own Q (T = I): the deviation
+# E moves the thin form's squared norms by about ||E|| ||A||_F^2, the eps ||A||_F^2 order
+# of rounding _THIN_LOSS counts, and a QR of L would leave a Q no more orthonormal
+# (Householder and CholeskyQR2 Qs of the engine's shapes, like its bases, measure 1-5 eps)
+_BASIS_DEV = 16 * _EPS
 
 
 @dataclass(frozen=True)
@@ -72,16 +81,22 @@ class SpectralProfile:
         return self.values.size
 
     @classmethod
-    def from_matrix(cls, a) -> "SpectralProfile":
+    def from_matrix(cls, a, eigenvalues: np.ndarray | None = None) -> "SpectralProfile":
         """Singular-value profile of a dense matrix.
 
         An exactly symmetric matrix takes its absolute eigenvalues, sorted
         descending (about half the time of the full SVD every other matrix
         takes); the rule reads ``a`` alone, so every caller gets the same values.
+        ``eigenvalues``, where given, are those the psd check
+        (:func:`~skpower.linalg.psd_eigenvalues`) took of ``a``: for an exactly
+        symmetric ``a`` its ``(a + a.T) / 2`` is ``a`` bit for bit, so they are
+        the values ``eigvalsh(a)`` would give, and ``a`` is not decomposed
+        again.  Any other matrix ignores them.
         """
         a = as_matrix(a, "a")
         if a.shape[0] == a.shape[1] and np.array_equal(a, a.T):
-            values = np.sort(np.abs(np.linalg.eigvalsh(a)))[::-1]
+            w = np.linalg.eigvalsh(a) if eigenvalues is None else eigenvalues
+            values = np.sort(np.abs(w))[::-1]
         else:
             values = np.linalg.svd(a, compute_uv=False)
         return cls(values=values, shape=a.shape)
@@ -199,15 +214,49 @@ def _extend(basis, y) -> np.ndarray:
     return rows - (rows @ basis.T) @ basis
 
 
-def _golub_kahan(product, product_rows, shape, tol: float, max_iter: int, seed: int) -> float:
+@dataclass
+class WarmStart:
+    """The Ritz directions one residual estimate of a series hands the next.
+
+    Consecutive points of an error curve approximate nearly the same
+    residual, so each estimate can restart from its predecessor's Ritz
+    vectors (Saad, *Numerical Methods for Large Eigenvalue Problems*, 2011).
+    Pass one holder to every estimated residual of one series on one
+    matrix: each call replaces the first ``_KRYLOV_BLOCK - 1`` columns of its
+    seeded Gaussian start block by the held directions (the last column
+    stays Gaussian, so the block still meets every direction), then holds
+    its own top right Ritz directions.  A fresh holder starts cold, and a
+    call that forms its residual leaves it empty.
+    """
+
+    directions: np.ndarray | None = None  # unit rows on the Gram's side, at most _KRYLOV_BLOCK - 1
+
+
+def _ritz_directions(gram: np.ndarray, zbasis: np.ndarray) -> np.ndarray:
+    """Unit right Ritz directions ``Z.T u`` of the top ``_KRYLOV_BLOCK - 1`` eigenvectors u of ``gram = Z Z.T``."""
+    _, u = np.linalg.eigh(gram)
+    rows = u[:, -(_KRYLOV_BLOCK - 1) :].T @ zbasis
+    norms = np.linalg.norm(rows, axis=1)
+    keep = norms > 0.0  # a zero Ritz value has no direction
+    return rows[keep] / norms[keep, None]
+
+
+def _golub_kahan(
+    product, product_rows, shape, tol: float, max_iter: int, seed: int, warm: WarmStart | None = None
+) -> float:
     """Largest singular value of an m x n operator X by block Golub-Kahan-Lanczos iteration.
 
     ``product(x)`` is ``X @ x`` for an n-column block x (n x b) and
     ``product_rows(q)`` is ``q @ X`` for rows q (r x m); see
     :func:`estimate_spectral_norm` for the iteration and its stopping rules.
+    ``warm``, where given, supplies start directions and receives the top
+    right Ritz directions of the final basis (see :class:`WarmStart`).
     """
     m, n = shape
-    y = product(_rng(seed).standard_normal((n, _KRYLOV_BLOCK))).T
+    omega = _rng(seed).standard_normal((n, _KRYLOV_BLOCK))
+    if warm is not None and warm.directions is not None:
+        omega[:, : len(warm.directions)] = warm.directions.T
+    y = product(omega).T
     # the bases Q and Z = Q X are kept as rows, so each reorthogonalization
     # reads a contiguous block; they grow by doubling as steps are taken
     rows = _KRYLOV_ROWS
@@ -236,6 +285,8 @@ def _golub_kahan(product, product_rows, shape, tol: float, max_iter: int, seed: 
         if converged:
             break
         y = product(np.ascontiguousarray(z.T)).T
+    if warm is not None:
+        warm.directions = _ritz_directions(gram[:k, :k], zbasis[:k])
     return sigma
 
 
@@ -318,26 +369,35 @@ def _residual(a, left, right) -> np.ndarray:
     return a - left @ right
 
 
-def _thin(a, left, right, frob2: float) -> _Thin | None:
+def _thin(a, left, right, frob2: float, projection: bool = False) -> _Thin | None:
     """``A - L R`` from its thin factors, or None where that form cancels too much.
 
     On the side of the Gram (a wide A is transposed, and L and R swap to
-    R.T and L.T), a factorization ``L = Q T`` with orthonormal ``Q`` (the
-    CholeskyQR2 of :mod:`skpower.linalg`; a Householder QR of an ``L`` its
-    rule rejects, such as a rank-deficient one) splits the residual into the
-    orthogonal parts ``(I - Q Q.T) A`` and ``Q D``, with ``B = Q.T A`` and
-    ``D = B - T R``.  So ``||A - L R||_F^2 = ||A||_F^2 - ||B||_F^2 + ||D||_F^2``
-    and ``(A - L R).T (A - L R) = A.T A - B.T B + D.T D``, and neither needs
-    the m x n residual.  Both differences lose about ``eps ||A||_F^2``;
-    returns None unless that is at most ``_THIN_LOSS`` of the squared
-    residual.  The operands are checked, and ``frob2`` is ``||A||_F^2``.
+    R.T and L.T), a factorization ``L = Q T`` with orthonormal ``Q`` splits
+    the residual into the orthogonal parts ``(I - Q Q.T) A`` and ``Q D``,
+    with ``B = Q.T A`` and ``D = B - T R``.  So ``||A - L R||_F^2 =
+    ||A||_F^2 - ||B||_F^2 + ||D||_F^2`` and ``(A - L R).T (A - L R) =
+    A.T A - B.T B + D.T D``, and neither needs the m x n residual.  An
+    ``L`` within ``_BASIS_DEV`` of orthonormal, such as an engine basis, is
+    its own ``Q`` (``T = I``); any other is factored by the CholeskyQR2 of
+    :mod:`skpower.linalg`, or by Householder QR where its rule rejects
+    ``L`` (a rank-deficient one, say).  ``projection`` says that ``R`` is
+    ``L.T A``: an orthonormal ``L`` then has ``B = R`` and ``D = 0``, and
+    ``B`` is not formed again.  Both differences lose about
+    ``eps ||A||_F^2``; returns None unless that is at most ``_THIN_LOSS``
+    of the squared residual.  The operands are checked, and ``frob2`` is
+    ``||A||_F^2``.
     """
     if a.shape[0] < a.shape[1]:
-        a, left, right = a.T, right.T, left.T
-    qr = _cholesky_qr2(left)
-    q, t = np.linalg.qr(left) if qr is None else qr
-    b = q.T @ a
-    d = b - t @ right
+        a, left, right, projection = a.T, right.T, left.T, False
+    if np.abs(left.T @ left - np.eye(left.shape[1])).max() <= _BASIS_DEV:
+        b = right if projection else left.T @ a
+        d = b[:0] if projection else b - right  # D = 0 has no rows to multiply by
+    else:
+        qr = _cholesky_qr2(left)
+        q, t = np.linalg.qr(left) if qr is None else qr
+        b = q.T @ a
+        d = b - t @ right
     resid2 = frob2 - _squared_norm(b) + _squared_norm(d)
     if not _EPS * frob2 <= _THIN_LOSS * resid2:  # also a non-positive resid2
         return None
@@ -352,10 +412,10 @@ def approximation_residuals(a, left, right) -> tuple[float, float]:
     return _exact_residuals(*_operands(a, left, right))
 
 
-def _exact_residuals(a, left, right) -> tuple[float, float]:
-    """:func:`approximation_residuals` of checked operands."""
+def _exact_residuals(a, left, right, projection: bool = False) -> tuple[float, float]:
+    """:func:`approximation_residuals` of checked operands (``projection``: see :func:`_thin`)."""
     gram = _gram(a)
-    thin = _thin(a, left, right, gram.frob2)
+    thin = _thin(a, left, right, gram.frob2, projection)
     if thin is None:
         resid = _residual(a, left, right)
         return float(np.linalg.norm(resid, 2)), frobenius_norm(resid)
@@ -364,7 +424,7 @@ def _exact_residuals(a, left, right) -> tuple[float, float]:
 
 
 def estimated_approximation_residuals(
-    a, left, right, seed: int = 0, gram: MatrixGram | None = None
+    a, left, right, seed: int = 0, gram: MatrixGram | None = None, warm: WarmStart | None = None
 ) -> tuple[float, float]:
     """(spectral, Frobenius) norms of ``a - left @ right`` without forming it.
 
@@ -373,27 +433,34 @@ def estimated_approximation_residuals(
     ``A.T A - B.T B + D.T D``, estimated by the block Krylov iteration of
     :func:`estimate_spectral_norm` (at its default relative tolerance,
     ``_ESTIMATOR_TOL``; a lower bound) with the Gram ``gram``
-    (``matrix_gram(a)``, formed here when not given).  Where the thin form
-    would cancel, the residual is formed instead, and its norms are
-    :func:`estimate_spectral_norm` and the exact Frobenius norm.
+    (``matrix_gram(a)``, formed here when not given), started from the
+    directions ``warm`` holds, if any (see :class:`WarmStart`).  Where the
+    thin form would cancel, the residual is formed instead, its norms are
+    :func:`estimate_spectral_norm` and the exact Frobenius norm, and
+    ``warm`` is emptied.
     """
-    return _estimated_residuals(*_operands(a, left, right), seed, gram)
+    return _estimated_residuals(*_operands(a, left, right), seed, gram, warm)
 
 
-def _estimated_residuals(a, left, right, seed: int, gram: MatrixGram | None) -> tuple[float, float]:
-    """:func:`estimated_approximation_residuals` of checked operands."""
+def _estimated_residuals(
+    a, left, right, seed: int, gram: MatrixGram | None, warm: WarmStart | None, projection: bool = False
+) -> tuple[float, float]:
+    """:func:`estimated_approximation_residuals` of checked operands (``projection``: see :func:`_thin`)."""
     gram = _gram(a) if gram is None else gram
     g = gram.gram
     if g.shape != (min(a.shape),) * 2:
         raise ValueError(f"gram is {g.shape}, the Gram of the smaller side of a {a.shape} matrix is not")
-    thin = _thin(a, left, right, gram.frob2)
+    thin = _thin(a, left, right, gram.frob2, projection)
     if thin is None:
+        if warm is not None:
+            warm.directions = None
         resid = _residual(a, left, right)
         return estimate_spectral_norm(resid, seed=seed), frobenius_norm(resid)
     b, d = thin.b, thin.d
     product = lambda x: g @ x - b.T @ (b @ x) + d.T @ (d @ x)
     product_rows = lambda q: q @ g - (q @ b.T) @ b + (q @ d.T) @ d
-    return math.sqrt(_golub_kahan(product, product_rows, g.shape, _ESTIMATOR_TOL, _KRYLOV_MAX_STEPS, seed)), thin.frob
+    sigma2 = _golub_kahan(product, product_rows, g.shape, _ESTIMATOR_TOL, _KRYLOV_MAX_STEPS, seed, warm)
+    return math.sqrt(sigma2), thin.frob
 
 
 def _projected(a, q_basis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -404,12 +471,16 @@ def _projected(a, q_basis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def projection_residuals(a, q_basis) -> tuple[float, float]:
     """Exact (spectral, Frobenius) norms of ``a - Q Q.T a``."""
-    return _exact_residuals(*_projected(a, q_basis))
+    return _exact_residuals(*_projected(a, q_basis), projection=True)
 
 
-def estimated_projection_residuals(a, q_basis, seed: int = 0) -> tuple[float, float]:
-    """Like :func:`projection_residuals` with the spectral norm estimated."""
-    return _estimated_residuals(*_projected(a, q_basis), seed, None)
+def estimated_projection_residuals(
+    a, q_basis, seed: int = 0, gram: MatrixGram | None = None, warm: WarmStart | None = None
+) -> tuple[float, float]:
+    """Like :func:`projection_residuals` with the spectral norm estimated,
+    as :func:`estimated_approximation_residuals` estimates it (``gram`` and
+    ``warm`` alike); ``Q.T a`` is formed once."""
+    return _estimated_residuals(*_projected(a, q_basis), seed, gram, warm, projection=True)
 
 
 def approximation_error_bound(
@@ -501,7 +572,9 @@ def powered_tail_level(sketched_profile: SpectralProfile, k: int, q: int) -> flo
     tail = tail[tail > 0.0]
     if tail.size == 0:
         return 0.0
-    log_sum = logsumexp(2.0 * t * np.log(tail)) + np.log(2.0 / k)
+    logs = 2.0 * t * np.log(tail)
+    top = logs.max()  # shifted to the largest term, so the sum of exponentials cannot overflow
+    log_sum = top + np.log(np.exp(logs - top).sum()) + np.log(2.0 / k)
     return float(np.exp(log_sum / t))
 
 
@@ -563,6 +636,7 @@ __all__ = [
     "BoundReport",
     "MatrixGram",
     "SpectralProfile",
+    "WarmStart",
     "approximation_error_bound",
     "approximation_residuals",
     "certify_spectral_approx",

@@ -11,7 +11,9 @@ runtime as every ``@`` product.  No module of the package uses scipy's dense
 linear algebra: scipy links its own OpenBLAS, whose idle threads keep
 spinning after each call and take the cores away from numpy's pool, which
 stalls a loop that alternates the two (a power pair and its stabilization
-QR).  scipy is used only for sparse matrices and special functions.  Rank
+QR).  scipy is used only for the sparse matrix containers (``scipy.sparse``):
+``scipy.special`` and scipy's dense and sparse linear algebra would map its
+OpenBLAS into the process on import.  Rank
 handling follows the conventions documented on each function.
 
 Skinny factorizations (``orthonormalize``, ``thin_svd`` and ``pinv`` of a

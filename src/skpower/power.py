@@ -196,12 +196,14 @@ class _Iterate:
         self.z = _core_step(self.core, self.z, self.spec.stabilized)
 
 
-def _checked(a, methods) -> np.ndarray:
-    """``a`` as a validated matrix, checked symmetric psd if one of ``methods`` powers the Nystrom core."""
+def _checked(a, methods) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(a, eigenvalues)``: ``a`` as a validated matrix and, if one of ``methods``
+    powers the Nystrom core, the eigenvalues of its symmetric psd check (else None)."""
     a = as_matrix(a, "a")
-    if any(_METHODS[method].core for method in methods):
-        _check_psd(a)  # looked up at call time, so a wrapper installed on power._check_psd sees the call
-    return a
+    if not any(_METHODS[method].core for method in methods):
+        return a, None
+    # looked up at call time, so a wrapper installed on power._check_psd sees the call
+    return a, _check_psd(a)
 
 
 def _iterates(a: np.ndarray, spec: RangeFinderSpec, method: str):
@@ -354,16 +356,20 @@ def _method_spec(method: str, spec: RangeFinderSpec, n: int) -> RangeFinderSpec:
     )
 
 
-def _advance(a, spec: RangeFinderSpec, method: str) -> tuple[dict, dict[str, float], RangeFinderSpec]:
-    """Run ``method`` to ``spec.q`` and assemble: ``(factors, elapsed seconds per stage, spec run)``."""
+def _advance(
+    a, spec: RangeFinderSpec, method: str
+) -> tuple[dict, dict[str, float], RangeFinderSpec, np.ndarray | None]:
+    """Run ``method`` to ``spec.q`` and assemble: ``(factors, elapsed seconds per stage, spec run,
+    eigenvalues of the psd check or None)``."""
     entry = _METHODS[method]
-    state = next(_iterates(_checked(a, [method]), spec, method))
+    a, eigenvalues = _checked(a, [method])
+    state = next(_iterates(a, spec, method))
     if not entry.core:  # the assembly reads Y (and S2): free A S and its Gram before it runs
         state.atil = state.core = None
     t0 = time.perf_counter()
     factors = entry.assemble(state)
     state.elapsed[entry.stage] = state.elapsed.get(entry.stage, 0.0) + time.perf_counter() - t0
-    return factors, state.elapsed, state.spec
+    return factors, state.elapsed, state.spec, eigenvalues
 
 
 def range_finder_sketched(a, spec: RangeFinderSpec) -> np.ndarray:
@@ -408,7 +414,7 @@ def lowrank_factorize(a, spec: RangeFinderSpec) -> FactorizationResult:
     regression ``(S2.T Y)^+ (S2.T a)`` with an independent second sketch on
     the row space, avoiding the dense Q.T a product of randomized SVD.
     """
-    factors, elapsed, _ = _advance(a, spec, "lowrank-factorize")
+    factors, elapsed, *_ = _advance(a, spec, "lowrank-factorize")
     return FactorizationResult(**factors, elapsed=elapsed)
 
 
@@ -421,5 +427,5 @@ def nystrom_psd(a, spec: RangeFinderSpec) -> NystromResult:
     ``spec.stabilized``), and contracts to C = C~ Y, W = Y.T W~ Y.  The
     implied approximation is symmetric psd.
     """
-    factors, elapsed, _ = _advance(a, spec, "nystrom")
+    factors, elapsed, *_ = _advance(a, spec, "nystrom")
     return NystromResult(**factors, elapsed=elapsed)

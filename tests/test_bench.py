@@ -232,11 +232,14 @@ def test_bench_row_factors_equal_library_factors(tmp_path, monkeypatch, method, 
     )
     seen = []
 
-    def capture(a, left, right, seed, gram):
+    def capture(a, left, right, seed, gram, warm):
         seen.append((left, right))
         return 1.0, 1.0
 
     monkeypatch.setattr(bench_mod, "estimated_approximation_residuals", capture)
+    monkeypatch.setattr(  # a basis is measured as its projection
+        bench_mod, "estimated_projection_residuals", lambda a, q, seed, gram, warm: capture(a, q, None, seed, gram, warm)
+    )
     records = run_benchmark(cfg)
     assert [r.q_iter for r in records] == list(range(q + 1))
     expected = _library_factors(load_matrix(cfg.dataset), method, 5, 15, q, records[-1].seed)
@@ -262,7 +265,8 @@ def test_replay_record_regenerates_classical_and_nystrom_rows(tmp_path):
 
 def test_bench_and_replay_through_the_cancellation_fallback(tmp_path, monkeypatch):
     # at noise 1e-8 the thin form cancels, so every point forms its residual;
-    # replay takes the same path and reproduces each row bit for bit
+    # replay takes the same path and reproduces each row bit for bit, rerunning
+    # its series from q = 0: 1 + 2 + 3 points for each of the 3 series
     formed = []
     real = diag_mod._residual
     monkeypatch.setattr(diag_mod, "_residual", lambda *args: formed.append(1) or real(*args))
@@ -278,7 +282,7 @@ def test_bench_and_replay_through_the_cancellation_fallback(tmp_path, monkeypatc
         assert replay_record(a, rec, sketch_kind=cfg.sketch_kind) == (
             rec.spec_err, rec.frob_err, rec.rel_err
         )
-    assert len(formed) == 18
+    assert len(formed) == 9 + 3 * (1 + 2 + 3)
 
 
 def test_bench_builds_no_sketch_start_block_or_basis():
@@ -372,17 +376,56 @@ def test_replay_record_checks_the_row_and_the_matrix(tmp_path):
 
 
 def test_psd_check_runs_once_per_benchmark(tmp_path, monkeypatch):
-    calls = []
+    # the check's eigenvalues are also the profile's: the psd input is
+    # decomposed once per run, and once per replay
+    calls, decomposed = [], []
+    a = psd_polydecay(40, seed=5)
 
     def counted(a):
         calls.append(a.shape)
         return psd_eigenvalues(a)
 
+    real_eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(power_mod, "_check_psd", counted)
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda x: decomposed.append(np.array_equal(x, a)) or real_eigvalsh(x)
+    )
     path = tmp_path / "psd.skpw"
-    write_binary(psd_polydecay(40, seed=5), path)
+    write_binary(a, path)
     cfg = small_config(
         tmp_path, dataset=str(path), methods=["nystrom"], k=4, l_values=[10, 15], q_max=1, trials=3,
     )
-    assert len(run_benchmark(cfg)) == 2 * 3 * 2
-    assert calls == [(40, 40)]
+    records = run_benchmark(cfg)
+    assert len(records) == 2 * 3 * 2
+    assert calls == [(40, 40)] and decomposed.count(True) == 1
+    assert replay_record(a, records[-1]) == (records[-1].spec_err, records[-1].frob_err, records[-1].rel_err)
+    assert calls == [(40, 40)] * 2 and decomposed.count(True) == 2
+
+
+def test_warm_started_rows_stay_within_the_estimator_tolerance(tmp_path, monkeypatch):
+    # each point's estimate starts from the previous point's Ritz directions:
+    # every row's spec_err is still a lower bound within 1e-6 of the exact
+    # norm of its own factors (lowrank+noise: a residual far below ||A||)
+    exact = []
+
+    def spy(name, residual):
+        real = getattr(bench_mod, name)
+
+        def measured(a, *factors, **kwargs):
+            exact.append(np.linalg.norm(a - residual(a, *factors), 2))
+            return real(a, *factors, **kwargs)
+
+        monkeypatch.setattr(bench_mod, name, measured)
+
+    spy("estimated_projection_residuals", lambda a, q: q @ (q.T @ a))
+    spy("estimated_approximation_residuals", lambda a, left, right: left @ right)
+    for dataset in ("polydecay:300x200:seed=1", "expdecay:300x200:seed=2", "lowrank:300x200:noise=1e-3:seed=3"):
+        exact.clear()
+        cfg = small_config(
+            tmp_path, dataset=dataset, methods=["sketched-randsvd", "classical-randsvd", "lowrank-factorize"],
+            k=10, l_values=[40], q_max=None, trials=1,
+        )
+        records = run_benchmark(cfg)
+        assert len(records) == len(exact) == 16 + 6 + 16
+        for rec, norm in zip(records, exact):
+            assert norm * (1.0 - 1e-6) <= rec.spec_err <= norm * (1.0 + 1e-12), (dataset, rec)

@@ -262,6 +262,18 @@ class TestRun:
         assert code == 0
         assert float(parse_kv(out)["spec_err"]) > 0.0
 
+    def test_nystrom_run_decomposes_the_input_once(self, tmp_path, capsys, monkeypatch):
+        # the profile takes the psd check's eigenvalues
+        a = psd_polydecay(30, seed=6)
+        write_binary(a, tmp_path / "psd.skpw")
+        decomposed = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: decomposed.append(np.array_equal(x, a)) or real(x))
+        code, _, _ = run_cli(
+            capsys, "run", "--data", str(tmp_path / "psd.skpw"), "--method", "nystrom", "--k", "4", "--l", "8",
+        )
+        assert code == 0 and decomposed.count(True) == 1
+
     def test_k_at_min_dimension_prints_nan_rel_err(self, capsys):
         # sigma_(k+1) does not exist at k = min(m, n): the run reports no relative error
         code, out, _ = run_cli(

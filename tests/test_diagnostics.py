@@ -12,6 +12,7 @@ from skpower.data_io import _haar_columns, gen_lowrank_plus_noise, gen_polydecay
 from skpower.diagnostics import (
     BoundReport,
     SpectralProfile,
+    WarmStart,
     approximation_error_bound,
     approximation_residuals,
     certify_spectral_approx,
@@ -58,6 +59,20 @@ class TestSpectralProfile:
         assert np.array_equal(a, a.T)
         svd = np.linalg.svd(a, compute_uv=False)
         np.testing.assert_allclose(SpectralProfile.from_matrix(a).values, svd, rtol=1e-13, atol=0.0)
+
+    def test_profile_from_the_psd_check_eigenvalues(self):
+        # an exactly symmetric input's (a + a.T) / 2 is a itself: the check's
+        # eigenvalues are the profile's; a matrix symmetric only within the
+        # check's tolerance takes its SVD whatever it is handed
+        a = psd_polydecay(120, seed=33)
+        w = linalg_mod.psd_eigenvalues(a)
+        assert np.array_equal(SpectralProfile.from_matrix(a, w).values, SpectralProfile.from_matrix(a).values)
+        near = a.copy()
+        near[0, 1] += 1e-12
+        assert np.array_equal(
+            SpectralProfile.from_matrix(near, linalg_mod.psd_eigenvalues(near)).values,
+            np.linalg.svd(near, compute_uv=False),
+        )
 
 
 class TestRegularizationLevel:
@@ -414,6 +429,67 @@ def test_gram_of_another_shape_rejected():
         estimated_approximation_residuals(a, q, q.T @ a, gram=matrix_gram(a[:, :20]))
 
 
+def _stretched(q, dev):
+    """``q`` with its first column scaled so that ``max |Q.T Q - I|`` is about ``dev``."""
+    q = q.copy()
+    q[:, 0] *= math.sqrt(1.0 + dev)
+    return q
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Every left factor the residual layer hands to CholeskyQR2."""
+    seen = []
+    real = diag_mod._cholesky_qr2
+    monkeypatch.setattr(diag_mod, "_cholesky_qr2", lambda y: seen.append(y.shape) or real(y))
+    return seen
+
+
+def _engine_basis(a):
+    spec = RangeFinderSpec(k=10, l=30, r1=30, r2=10, q=2, eps=0.5, seed=45)
+    return _advance(a, spec, "sketched-randsvd")[0]["Q"]
+
+
+def test_an_engine_basis_is_not_factored_again(factorizations):
+    a = gen_polydecay(120, 70, seed=46)
+    q = _engine_basis(a)
+    assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= diag_mod._BASIS_DEV
+    approximation_residuals(a, q, q.T @ a)
+    estimated_approximation_residuals(a, q, q.T @ a, seed=47)
+    projection_residuals(a, q)
+    estimated_projection_residuals(a, q, seed=47)
+    assert factorizations == []
+    # a basis orthonormal to 1e-8 only is factored, on every path
+    loose = _stretched(q, 1e-8)
+    approximation_residuals(a, loose, loose.T @ a)
+    estimated_approximation_residuals(a, loose, loose.T @ a, seed=47)
+    projection_residuals(a, loose)
+    estimated_projection_residuals(a, loose, seed=47)
+    assert factorizations == [q.shape] * 4
+
+
+def test_a_basis_the_projection_check_accepts_is_factored_to_the_exact_norm():
+    # 1e-7 from orthonormal passes the 1e-6 check; its QR keeps the norms
+    # of a - Q Q.T a, where Q Q.T is not a projector, to rounding
+    a = gen_polydecay(120, 70, seed=48)
+    q = _stretched(_engine_basis(a), 1e-7)
+    dev = np.abs(q.T @ q - np.eye(q.shape[1])).max()
+    assert 5e-8 <= dev <= 1e-6
+    resid = a - q @ (q.T @ a)
+    spec_err, frob_err = projection_residuals(a, q)
+    assert abs(spec_err - sla.svdvals(resid)[0]) <= 1e-10 * spec_err
+    assert abs(frob_err - np.linalg.norm(resid)) <= 1e-10 * frob_err
+
+
+@pytest.mark.parametrize("shape", ["tall", "wide"])
+def test_projection_estimate_with_and_without_a_gram(shape):
+    a = gen_polydecay(*_SHAPES[shape], seed=49)
+    q = _engine_basis(a)
+    assert estimated_projection_residuals(a, q, seed=50, gram=matrix_gram(a)) == estimated_projection_residuals(
+        a, q, seed=50
+    )
+
+
 def rotated(m, n, sigma, seed):
     """m-by-n matrix with singular values ``sigma`` in Haar-random bases."""
     sigma = np.asarray(sigma, dtype=float)
@@ -539,3 +615,28 @@ def test_powered_tail_inequality_holds_on_certified_pairs():
             report = powered_tail_report(sprof, k, choose_q(eps, rank), sigma_kp1, lam, eps)
             held += report.holds
     assert checked == 10 and held >= 9
+
+
+def test_warm_start_hands_the_ritz_directions_on(extensions):
+    a = gen_polydecay(120, 70, seed=51)
+    q = _engine_basis(a)
+    cold = estimated_projection_residuals(a, q, seed=52)
+    cold_steps = len(extensions)
+    warm = WarmStart()
+    assert estimated_projection_residuals(a, q, seed=52, warm=warm) == cold  # an empty holder starts cold
+    assert warm.directions.shape == (diag_mod._KRYLOV_BLOCK - 1, 70)
+    np.testing.assert_allclose(np.linalg.norm(warm.directions, axis=1), 1.0, rtol=1e-14)
+    extensions.clear()
+    # the same residual again, from its own Ritz directions
+    spec_err, frob_err = estimated_projection_residuals(a, q, seed=52, warm=warm)
+    assert len(extensions) < cold_steps
+    assert abs(spec_err - cold[0]) <= 1e-6 * cold[0] and frob_err == cold[1]
+    # a point whose thin form cancels forms its residual and passes nothing on
+    noisy = _noisy_lowrank(_SHAPES["tall"], 1e-8, False, seed=41)
+    spec = RangeFinderSpec(k=10, l=30, r1=30, r2=10, q=1, eps=0.5, seed=42)
+    left, right = _METHODS["lowrank-factorize"].low_rank(noisy, _advance(noisy, spec, "lowrank-factorize")[0])
+    held = WarmStart(warm.directions)
+    assert estimated_approximation_residuals(noisy, left, right, seed=43, warm=held) == (
+        estimated_approximation_residuals(noisy, left, right, seed=43)
+    )
+    assert held.directions is None

@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import subprocess
 import sys
 import warnings
 
@@ -197,6 +198,18 @@ def test_package_does_not_import_scipy_linalg():
                 f"{path.name}:{node.lineno}" for name in names if name.startswith("scipy.linalg")
             ]
     assert offenders == []
+
+
+def test_importing_the_package_maps_no_scipy_blas_user():
+    # scipy.special, like scipy's dense and sparse linear algebra, maps scipy's
+    # own OpenBLAS into the process; only scipy.sparse's containers are used
+    src = pathlib.Path(skpower.__file__).parents[1]
+    code = (
+        "import sys, skpower; "
+        "print(sorted({'scipy.special', 'scipy.linalg', 'scipy.sparse.linalg'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestThinSvd:
