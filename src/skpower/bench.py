@@ -36,11 +36,12 @@ else CholeskyQR2, or a Householder QR of a left factor too ill-conditioned
 for it), ``B = Q^T A`` and ``D = B - T R``, its
 squared Frobenius norm is ``||A||_F^2 - ||B||_F^2 + ||D||_F^2``, and its
 spectral norm is the square root of the top eigenvalue of
-``A^T A - B^T B + D^T D``, estimated by a seeded block Krylov iteration (a
-lower bound, stopped at relative change 1e-6).  Along a series each
-estimate starts from the top Ritz directions of the previous point's
+``A^T A - B^T B + D^T D``, estimated by seeded block Lanczos on that
+operator (one product with it per step; a lower bound, stopped at
+relative change 1e-6).  Along a series each estimate starts from the top
+Ritz vectors of the previous point's
 (:class:`~skpower.diagnostics.WarmStart`; the q = 0 point starts cold), in
-place of three of its four Gaussian start columns: consecutive points
+place of three of its four Gaussian start rows: consecutive points
 approximate nearly the same residual, so the estimates take fewer steps.
 The Gram ``A^T A`` (of the smaller side) and ``||A||_F^2`` are formed once
 per run, untimed.  Where the differences would cancel beyond the

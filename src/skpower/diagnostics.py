@@ -12,9 +12,12 @@ function checks its operands once and does not form the m x n residual: a
 QR factorization of the left factor (CholeskyQR2, Householder where its
 rule rejects the factor) gives its Frobenius norm from three sums of
 squares, and its spectral norm from ``A.T A - B.T B + D.T D``, exactly by
-``eigvalsh`` or estimated to the fixed relative tolerance ``_ESTIMATOR_TOL``
-by a block Krylov iteration.  Where those differences would cancel beyond
-that tolerance, the residual is formed after all.  A left factor already
+``eigvalsh`` or estimated to the fixed relative tolerance ``_ESTIMATOR_TOL``.
+Where those differences would cancel beyond that tolerance, the residual is
+formed after all.  Every estimate, :func:`estimate_spectral_norm` included,
+is one run of block Lanczos (:func:`_lanczos`) on a symmetric psd operator
+whose top eigenvalue is the squared norm: ``A.T A - B.T B + D.T D`` on the
+thin form, ``X X.T`` for a matrix X given whole.  A left factor already
 orthonormal to working precision (``max |L.T L - I| <= _BASIS_DEV``, as
 every engine basis is) is not factored again: it is its own Q, and for a
 projection ``Q Q.T A`` the right factor is ``B`` itself.  An estimate can
@@ -33,16 +36,15 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import _cholesky_qr2, _projection, as_matrix, frobenius_norm
+from .linalg import _cholesky_qr2, _deviation, _projection, as_matrix, frobenius_norm
 from .power import choose_q
 from .sketching import SketchOperator, _rng
 
-# spectral-norm estimator: block columns (a single start vector misses the
-# top singular vector too often), basis rows before the first growth, and
-# the relative size below which a new Krylov direction counts as breakdown
-# (the estimate's error is quadratic in the directions dropped)
+# spectral-norm estimator: block rows (a single start vector misses the
+# top singular vector too often) and the relative size below which a new
+# Krylov direction counts as breakdown (the estimate's error is quadratic
+# in the directions dropped)
 _KRYLOV_BLOCK = 4
-_KRYLOV_ROWS = 32
 _DEFLATION = np.sqrt(np.finfo(np.float64).eps)
 _ESTIMATOR_TOL = 1e-6  # relative change between steps at which the estimate stops
 _KRYLOV_MAX_STEPS = 1000
@@ -222,86 +224,59 @@ class WarmStart:
     residual, so each estimate can restart from its predecessor's Ritz
     vectors (Saad, *Numerical Methods for Large Eigenvalue Problems*, 2011).
     Pass one holder to every estimated residual of one series on one
-    matrix: each call replaces the first ``_KRYLOV_BLOCK - 1`` columns of its
-    seeded Gaussian start block by the held directions (the last column
-    stays Gaussian, so the block still meets every direction), then holds
-    its own top right Ritz directions.  A fresh holder starts cold, and a
-    call that forms its residual leaves it empty.
+    matrix: each call replaces the first ``_KRYLOV_BLOCK - 1`` rows of its
+    seeded Gaussian start block by the held directions (the last row stays
+    Gaussian, so the block still meets every direction), then holds the
+    Ritz vectors of its own top ``_KRYLOV_BLOCK - 1`` Ritz values.  A fresh
+    holder starts cold, and a call that forms its residual leaves it empty.
     """
 
     directions: np.ndarray | None = None  # unit rows on the Gram's side, at most _KRYLOV_BLOCK - 1
 
 
-def _ritz_directions(gram: np.ndarray, zbasis: np.ndarray) -> np.ndarray:
-    """Unit right Ritz directions ``Z.T u`` of the top ``_KRYLOV_BLOCK - 1`` eigenvectors u of ``gram = Z Z.T``."""
-    _, u = np.linalg.eigh(gram)
-    rows = u[:, -(_KRYLOV_BLOCK - 1) :].T @ zbasis
-    norms = np.linalg.norm(rows, axis=1)
-    keep = norms > 0.0  # a zero Ritz value has no direction
-    return rows[keep] / norms[keep, None]
+def _lanczos(rows, start: np.ndarray, tol: float, max_iter: int, warm: WarmStart | None = None) -> float:
+    """Square root of the largest eigenvalue of a symmetric psd operator M by block Lanczos iteration.
 
-
-def _golub_kahan(
-    product, product_rows, shape, tol: float, max_iter: int, seed: int, warm: WarmStart | None = None
-) -> float:
-    """Largest singular value of an m x n operator X by block Golub-Kahan-Lanczos iteration.
-
-    ``product(x)`` is ``X @ x`` for an n-column block x (n x b) and
-    ``product_rows(q)`` is ``q @ X`` for rows q (r x m); see
-    :func:`estimate_spectral_norm` for the iteration and its stopping rules.
-    ``warm``, where given, supplies start directions and receives the top
-    right Ritz directions of the final basis (see :class:`WarmStart`).
+    Golub & Underwood (1977), fully reorthogonalized: ``rows(q)`` is
+    ``q @ M`` for rows q (r x n), and step j, one application of M, adds a
+    block of rows to an orthonormal basis ``Q`` of the Krylov space of
+    ``start``, ``start M``, ..., ``start M^(j-1)``.  The estimate is read
+    from the projected ``T = (Q M) Q.T`` and stops by the rules of
+    :func:`estimate_spectral_norm`.  ``warm``, where given, receives the
+    Ritz vectors ``u.T Q`` of the top ``_KRYLOV_BLOCK - 1`` eigenvectors u
+    of ``T`` (see :class:`WarmStart`).
     """
-    m, n = shape
-    omega = _rng(seed).standard_normal((n, _KRYLOV_BLOCK))
-    if warm is not None and warm.directions is not None:
-        omega[:, : len(warm.directions)] = warm.directions.T
-    y = product(omega).T
-    # the bases Q and Z = Q X are kept as rows, so each reorthogonalization
-    # reads a contiguous block; they grow by doubling as steps are taken
-    rows = _KRYLOV_ROWS
-    qbasis, zbasis, gram = np.empty((rows, m)), np.empty((rows, n)), np.empty((rows, rows))
-    k, sigma = 0, 0.0
+    # the basis is kept as rows, so each reorthogonalization reads a contiguous block
+    basis, t, sigma, y = start[:0], np.empty((0, 0)), 0.0, start
     for _ in range(max_iter):
-        q = _extend(qbasis[:k], y)
-        r = len(q)
-        if r == 0:
+        q = _extend(basis, y)
+        if len(q) == 0:
             break
-        if k + r > rows:
-            rows = max(2 * rows, k + r)
-            qbasis = np.concatenate((qbasis[:k], np.empty((rows - k, m))))
-            zbasis = np.concatenate((zbasis[:k], np.empty((rows - k, n))))
-            grown = np.empty((rows, rows))
-            grown[:k, :k] = gram[:k, :k]
-            gram = grown
-        z = product_rows(q)
-        qbasis[k : k + r], zbasis[k : k + r] = q, z
-        gram[k : k + r, : k + r] = z @ zbasis[: k + r].T
-        gram[:k, k : k + r] = gram[k : k + r, :k].T
-        k += r
-        estimate = float(np.sqrt(max(np.linalg.eigvalsh(gram[:k, :k])[-1], 0.0)))
+        y = rows(q)
+        basis = np.concatenate((basis, q))
+        new = y @ basis.T  # the new rows of T, whose transpose is its new columns
+        t = np.concatenate((np.concatenate((t, new[:, : len(t)].T), axis=1), new))
+        estimate = math.sqrt(max(np.linalg.eigvalsh(t)[-1], 0.0))
         converged = abs(estimate - sigma) <= tol * estimate
         sigma = estimate
         if converged:
             break
-        y = product(np.ascontiguousarray(z.T)).T
     if warm is not None:
-        warm.directions = _ritz_directions(gram[:k, :k], zbasis[:k])
+        warm.directions = np.linalg.eigh(t)[1][:, -(_KRYLOV_BLOCK - 1) :].T @ basis
     return sigma
 
 
 def estimate_spectral_norm(
     a, tol: float = _ESTIMATOR_TOL, max_iter: int = _KRYLOV_MAX_STEPS, seed: int = 0
 ) -> float:
-    """Spectral norm of ``a`` by block Golub-Kahan-Lanczos (block Krylov) iteration.
+    """Spectral norm of ``a`` by block Lanczos iteration on ``a a.T`` (block Krylov).
 
-    Golub & Kahan (1965) in the block form of Golub, Luk & Overton (1981),
-    as analysed by Musco & Musco (NeurIPS 2015): from a seeded Gaussian
+    As analysed by Musco & Musco (NeurIPS 2015): from a seeded Gaussian
     block ``Omega`` of ``_KRYLOV_BLOCK`` columns, step j adds one block to an
     orthonormal basis ``Q`` of the Krylov space spanned by ``A Omega``,
     ``(A A.T) A Omega``, ..., ``(A A.T)^(j-1) A Omega``, fully
     reorthogonalized.  The estimate is the largest singular value of
-    ``Q.T a``, read from the small Gram matrix ``Q.T A A.T Q``; it is a
+    ``Q.T a``, read from the small projected matrix ``Q.T A A.T Q``; it is a
     lower bound on ``||a||_2`` (up to rounding) that never decreases with
     j.  The block makes the estimate independent of any single start
     vector: from one vector the iteration can settle on sigma_2 for many
@@ -320,10 +295,16 @@ def estimate_spectral_norm(
         raise ValueError(f"tol must be >= 0, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    a = as_matrix(a, "a")
+    return _norm_estimate(as_matrix(a, "a"), tol, max_iter, seed)
+
+
+def _norm_estimate(a: np.ndarray, tol: float, max_iter: int, seed: int) -> float:
+    """:func:`estimate_spectral_norm` of a checked ``a``."""
     # blocks are products with a on the left: at this width ``x @ a.T``
     # takes about twice as long as ``a @ x.T`` with x.T contiguous
-    return _golub_kahan(lambda x: a @ x, lambda q: q @ a, a.shape, tol, max_iter, seed)
+    rows = lambda q: (a @ np.ascontiguousarray((q @ a).T)).T
+    start = (a @ _rng(seed).standard_normal((a.shape[1], _KRYLOV_BLOCK))).T
+    return _lanczos(rows, start, tol, max_iter)
 
 
 class MatrixGram(NamedTuple):
@@ -369,7 +350,7 @@ def _residual(a, left, right) -> np.ndarray:
     return a - left @ right
 
 
-def _thin(a, left, right, frob2: float, projection: bool = False) -> _Thin | None:
+def _thin(a, left, right, frob2: float, basis_dev: float | None = None) -> _Thin | None:
     """``A - L R`` from its thin factors, or None where that form cancels too much.
 
     On the side of the Gram (a wide A is transposed, and L and R swap to
@@ -381,16 +362,18 @@ def _thin(a, left, right, frob2: float, projection: bool = False) -> _Thin | Non
     ``L`` within ``_BASIS_DEV`` of orthonormal, such as an engine basis, is
     its own ``Q`` (``T = I``); any other is factored by the CholeskyQR2 of
     :mod:`skpower.linalg`, or by Householder QR where its rule rejects
-    ``L`` (a rank-deficient one, say).  ``projection`` says that ``R`` is
-    ``L.T A``: an orthonormal ``L`` then has ``B = R`` and ``D = 0``, and
-    ``B`` is not formed again.  Both differences lose about
-    ``eps ||A||_F^2``; returns None unless that is at most ``_THIN_LOSS``
-    of the squared residual.  The operands are checked, and ``frob2`` is
-    ``||A||_F^2``.
+    ``L`` (a rank-deficient one, say).  A projection, ``R = L.T A``, passes
+    ``basis_dev``, the ``max |L.T L - I|`` its basis check formed, so
+    ``L.T L`` is not formed again; an orthonormal ``L`` then has ``B = R``
+    and ``D = 0``, and ``B`` is not formed again either.  Both differences
+    lose about ``eps ||A||_F^2``; returns None unless that is at most
+    ``_THIN_LOSS`` of the squared residual.  The operands are checked, and
+    ``frob2`` is ``||A||_F^2``.
     """
     if a.shape[0] < a.shape[1]:
-        a, left, right, projection = a.T, right.T, left.T, False
-    if np.abs(left.T @ left - np.eye(left.shape[1])).max() <= _BASIS_DEV:
+        a, left, right, basis_dev = a.T, right.T, left.T, None
+    projection = basis_dev is not None
+    if (basis_dev if projection else _deviation(left)) <= _BASIS_DEV:
         b = right if projection else left.T @ a
         d = b[:0] if projection else b - right  # D = 0 has no rows to multiply by
     else:
@@ -412,10 +395,10 @@ def approximation_residuals(a, left, right) -> tuple[float, float]:
     return _exact_residuals(*_operands(a, left, right))
 
 
-def _exact_residuals(a, left, right, projection: bool = False) -> tuple[float, float]:
-    """:func:`approximation_residuals` of checked operands (``projection``: see :func:`_thin`)."""
+def _exact_residuals(a, left, right, basis_dev: float | None = None) -> tuple[float, float]:
+    """:func:`approximation_residuals` of checked operands (``basis_dev``: see :func:`_thin`)."""
     gram = _gram(a)
-    thin = _thin(a, left, right, gram.frob2, projection)
+    thin = _thin(a, left, right, gram.frob2, basis_dev)
     if thin is None:
         resid = _residual(a, left, right)
         return float(np.linalg.norm(resid, 2)), frobenius_norm(resid)
@@ -430,48 +413,52 @@ def estimated_approximation_residuals(
 
     Both come from the thin form of :func:`_thin`.  The spectral norm is the
     square root of the largest eigenvalue of the symmetric operator
-    ``A.T A - B.T B + D.T D``, estimated by the block Krylov iteration of
-    :func:`estimate_spectral_norm` (at its default relative tolerance,
-    ``_ESTIMATOR_TOL``; a lower bound) with the Gram ``gram``
-    (``matrix_gram(a)``, formed here when not given), started from the
-    directions ``warm`` holds, if any (see :class:`WarmStart`).  Where the
-    thin form would cancel, the residual is formed instead, its norms are
-    :func:`estimate_spectral_norm` and the exact Frobenius norm, and
-    ``warm`` is emptied.
+    ``A.T A - B.T B + D.T D``, estimated by block Lanczos (:func:`_lanczos`,
+    at the relative tolerance ``_ESTIMATOR_TOL`` of
+    :func:`estimate_spectral_norm`; a lower bound) with the Gram ``gram``
+    (``matrix_gram(a)``, formed here when not given), from the seeded
+    Gaussian block of :func:`estimate_spectral_norm` with the directions
+    ``warm`` holds, if any, in its first rows (see :class:`WarmStart`).
+    Where the thin form would cancel, the residual is formed instead, its
+    norms are the :func:`estimate_spectral_norm` of the formed residual
+    (which is not checked again) and the exact Frobenius norm, and ``warm``
+    is emptied.
     """
     return _estimated_residuals(*_operands(a, left, right), seed, gram, warm)
 
 
 def _estimated_residuals(
-    a, left, right, seed: int, gram: MatrixGram | None, warm: WarmStart | None, projection: bool = False
+    a, left, right, seed: int, gram: MatrixGram | None, warm: WarmStart | None, basis_dev: float | None = None
 ) -> tuple[float, float]:
-    """:func:`estimated_approximation_residuals` of checked operands (``projection``: see :func:`_thin`)."""
+    """:func:`estimated_approximation_residuals` of checked operands (``basis_dev``: see :func:`_thin`)."""
     gram = _gram(a) if gram is None else gram
     g = gram.gram
     if g.shape != (min(a.shape),) * 2:
         raise ValueError(f"gram is {g.shape}, the Gram of the smaller side of a {a.shape} matrix is not")
-    thin = _thin(a, left, right, gram.frob2, projection)
+    thin = _thin(a, left, right, gram.frob2, basis_dev)
     if thin is None:
         if warm is not None:
             warm.directions = None
         resid = _residual(a, left, right)
-        return estimate_spectral_norm(resid, seed=seed), frobenius_norm(resid)
+        return _norm_estimate(resid, _ESTIMATOR_TOL, _KRYLOV_MAX_STEPS, seed), frobenius_norm(resid)
     b, d = thin.b, thin.d
-    product = lambda x: g @ x - b.T @ (b @ x) + d.T @ (d @ x)
-    product_rows = lambda q: q @ g - (q @ b.T) @ b + (q @ d.T) @ d
-    sigma2 = _golub_kahan(product, product_rows, g.shape, _ESTIMATOR_TOL, _KRYLOV_MAX_STEPS, seed, warm)
-    return math.sqrt(sigma2), thin.frob
+    start = _rng(seed).standard_normal((g.shape[0], _KRYLOV_BLOCK)).T
+    if warm is not None and warm.directions is not None:
+        start[: len(warm.directions)] = warm.directions
+    rows = lambda q: q @ g - (q @ b.T) @ b + (q @ d.T) @ d
+    return _lanczos(rows, start, _ESTIMATOR_TOL, _KRYLOV_MAX_STEPS, warm), thin.frob
 
 
-def _projected(a, q_basis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(a, Q, Q.T a)``, each operand checked once (see :func:`~skpower.linalg.orthonormal_projection`)."""
+def _projected(a, q_basis) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """``(a, Q, Q.T a, max |Q.T Q - I|)``, each operand checked once (see
+    :func:`~skpower.linalg.orthonormal_projection`)."""
     a = as_matrix(a, "a")
     return (a, *_projection(a, as_matrix(q_basis, "q_basis")))
 
 
 def projection_residuals(a, q_basis) -> tuple[float, float]:
     """Exact (spectral, Frobenius) norms of ``a - Q Q.T a``."""
-    return _exact_residuals(*_projected(a, q_basis), projection=True)
+    return _exact_residuals(*_projected(a, q_basis))
 
 
 def estimated_projection_residuals(
@@ -479,8 +466,9 @@ def estimated_projection_residuals(
 ) -> tuple[float, float]:
     """Like :func:`projection_residuals` with the spectral norm estimated,
     as :func:`estimated_approximation_residuals` estimates it (``gram`` and
-    ``warm`` alike); ``Q.T a`` is formed once."""
-    return _estimated_residuals(*_projected(a, q_basis), seed, gram, warm, projection=True)
+    ``warm`` alike); ``Q.T a`` and ``Q.T Q`` are formed once."""
+    a, q, b, dev = _projected(a, q_basis)
+    return _estimated_residuals(a, q, b, seed, gram, warm, dev)
 
 
 def approximation_error_bound(

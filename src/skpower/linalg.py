@@ -82,17 +82,22 @@ def _all_finite(a: np.ndarray) -> bool:
 
 def orthonormal_projection(a, q_basis) -> tuple[np.ndarray, np.ndarray]:
     """``(Q, Q.T @ a)``, raising unless Q's columns are orthonormal within 1e-6 and it has ``a``'s rows."""
-    return _projection(as_matrix(a, "a"), as_matrix(q_basis, "q_basis"))
+    return _projection(as_matrix(a, "a"), as_matrix(q_basis, "q_basis"))[:2]
 
 
-def _projection(a: np.ndarray, q_basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`orthonormal_projection` of checked operands."""
-    dev = np.abs(q_basis.T @ q_basis - np.eye(q_basis.shape[1])).max()
+def _deviation(q: np.ndarray) -> float:
+    """``max |Q.T Q - I|``: how far the columns of ``q`` are from orthonormal."""
+    return np.abs(q.T @ q - np.eye(q.shape[1])).max()
+
+
+def _projection(a: np.ndarray, q_basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """:func:`orthonormal_projection` of checked operands, plus the :func:`_deviation` of Q its check formed."""
+    dev = _deviation(q_basis)
     if dev > 1e-6:
         raise ValueError(f"Q is not orthonormal (deviation {dev:.3e})")
     if q_basis.shape[0] != a.shape[0]:
         raise ValueError(f"Q and a must have the same number of rows, got {q_basis.shape[0]} and {a.shape[0]}")
-    return q_basis, q_basis.T @ a
+    return q_basis, q_basis.T @ a, dev
 
 
 def psd_eigenvalues(a) -> np.ndarray:
@@ -158,7 +163,7 @@ def span_basis(y) -> np.ndarray:
     """
     y = as_matrix(y, "y")
     q = _cholesky_qr_pass(y)
-    if q is not None and np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 0.1:
+    if q is not None and _deviation(q) <= 0.1:
         return q
     return orthonormalize(y)
 

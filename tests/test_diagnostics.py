@@ -387,9 +387,9 @@ def test_residual_norms_on_both_sides_of_the_cancellation_guard(monkeypatch, met
 
 @pytest.mark.parametrize("noise, thin", [(1e-2, True), (1e-8, False)])
 def test_operands_checked_once_per_public_call(monkeypatch, noise, thin):
-    # a, L and R are checked once per call; the fallback's
-    # estimate_spectral_norm checks the residual it is handed.  Each call
-    # forms the residual only on the fallback
+    # a, L and R are checked once per call, and the residual the fallback
+    # forms from them is not checked again.  Each call forms the residual
+    # only on the fallback
     a = _noisy_lowrank(_SHAPES["tall"], noise, False, seed=41)
     spec = RangeFinderSpec(k=10, l=30, r1=30, r2=10, q=1, eps=0.5, seed=42)
     left, right = _METHODS["sketched-randsvd"].low_rank(a, _advance(a, spec, "sketched-randsvd")[0])
@@ -404,10 +404,10 @@ def test_operands_checked_once_per_public_call(monkeypatch, noise, thin):
     checked.clear()
     formed.clear()
     estimated_approximation_residuals(a, left, right, seed=43, gram=gram)
-    assert checked == ["a", "left", "right"] + ([] if thin else ["a"])
+    assert checked == ["a", "left", "right"]
     assert len(formed) == (not thin)
     # the projection wrappers check a and Q once each, through either binding
-    # (Q.T a is formed from them); only the fallback checks its residual
+    # (Q.T a is formed from them)
     scanned = []
     real_linalg_check = linalg_mod.as_matrix
     monkeypatch.setattr(linalg_mod, "as_matrix", lambda x, name: scanned.append(name) or real_linalg_check(x, name))
@@ -416,8 +416,7 @@ def test_operands_checked_once_per_public_call(monkeypatch, noise, thin):
         formed.clear()
         scanned.clear()
         wrapper(a, left)
-        fallback_scans = ["a"] if wrapper is estimated_projection_residuals else []
-        assert checked == ["a", "q_basis"] + ([] if thin else fallback_scans)
+        assert checked == ["a", "q_basis"]
         assert scanned == ([] if thin else ["a"])  # frobenius_norm of the formed residual
         assert len(formed) == (not thin)
 
@@ -468,6 +467,21 @@ def test_an_engine_basis_is_not_factored_again(factorizations):
     assert factorizations == [q.shape] * 4
 
 
+@pytest.mark.parametrize("residuals", [projection_residuals, estimated_projection_residuals])
+def test_a_projection_forms_its_basis_gram_once(monkeypatch, residuals):
+    # the projection check's max |Q.T Q - I| also decides whether Q is factored
+    a = gen_polydecay(120, 70, seed=46)
+    formed = []
+    real = linalg_mod._deviation
+    spy = lambda q: formed.append(q.shape) or real(q)
+    monkeypatch.setattr(linalg_mod, "_deviation", spy)
+    monkeypatch.setattr(diag_mod, "_deviation", spy)
+    q = _engine_basis(a)
+    formed.clear()
+    residuals(a, q)
+    assert formed == [q.shape]
+
+
 def test_a_basis_the_projection_check_accepts_is_factored_to_the_exact_norm():
     # 1e-7 from orthonormal passes the 1e-6 check; its QR keeps the norms
     # of a - Q Q.T a, where Q Q.T is not a projector, to rounding
@@ -511,6 +525,45 @@ def extensions(monkeypatch):
 
     monkeypatch.setattr(diag_mod, "_extend", spy)
     return seen
+
+
+@pytest.fixture
+def lanczos_runs(monkeypatch):
+    """Every run of the block Lanczos routine: how often each applied its operator."""
+    runs = []
+    real = diag_mod._lanczos
+
+    def spy(rows, *args, **kwargs):
+        runs.append(0)
+
+        def counted(q):
+            runs[-1] += 1
+            return rows(q)
+
+        return real(counted, *args, **kwargs)
+
+    monkeypatch.setattr(diag_mod, "_lanczos", spy)
+    return runs
+
+
+@pytest.mark.parametrize("noise, thin", [(1e-2, True), (1e-8, False)])
+def test_every_estimate_is_one_lanczos_run(monkeypatch, lanczos_runs, extensions, noise, thin):
+    # the plain estimate, the thin estimate and the fallback's estimate of the
+    # formed residual each run the one routine once, and it applies its
+    # operator once per basis extension that returned rows
+    a = _noisy_lowrank(_SHAPES["tall"], noise, False, seed=41)
+    spec = RangeFinderSpec(k=10, l=30, r1=30, r2=10, q=1, eps=0.5, seed=42)
+    left, right = _METHODS["sketched-randsvd"].low_rank(a, _advance(a, spec, "sketched-randsvd")[0])
+    formed = []
+    real_residual = diag_mod._residual
+    monkeypatch.setattr(diag_mod, "_residual", lambda *args: formed.append(1) or real_residual(*args))
+    for estimate, args in ((estimate_spectral_norm, (a,)), (estimated_approximation_residuals, (a, left, right))):
+        lanczos_runs.clear()
+        extensions.clear()
+        estimate(*args, seed=43)
+        assert len(lanczos_runs) == 1
+        assert lanczos_runs[0] == sum(len(rows) > 0 for _, rows in extensions) > 0
+    assert len(formed) == (not thin)
 
 
 class TestSpectralNormEstimator:
