@@ -245,7 +245,13 @@ def replay_record(a, rec: TrialRecord, sketch_kind: str = "countsketch"):
     runs from q = 0 through ``q_iter``, its estimates warm-started point to
     point as :func:`run_benchmark` ran them.  The matrix and the row's spec,
     its ``q_iter`` included, are checked as the library checks them.
+    ``sketch_kind`` is the kind the row was run with, which the row does not
+    record; a sketch-applying row records ``s > 0`` exactly when that kind is
+    CountSketch, and a kind that contradicts its ``s`` raises.
     """
+    if _METHODS[rec.method].applies_sketch and (rec.s > 0) != (sketch_kind == "countsketch"):
+        ran = "countsketch" if rec.s > 0 else "a sketch other than countsketch"
+        raise ValueError(f"row with s={rec.s} was run with {ran}, not sketch_kind={sketch_kind!r}")
     a, eigenvalues = _checked(a, [rec.method])
     params = dict(eps=rec.eps, sketch_kind=sketch_kind, s=rec.s if rec.s else 1)
     _series(a, rec.method, rec.k, rec.l, rec.q_iter, rec.seed, **params).close()  # the row's own spec, checked

@@ -19,8 +19,9 @@ mapping an ``n``-dimensional coordinate space down to ``r`` dimensions:
     with a random sign diagonal D, an unnormalized Hadamard matrix H of the
     next power-of-two dimension n_pad, and a uniformly random size-r column
     subset T; never materialized, and the input is never padded.  H is the
-    Kronecker product ``H_big kron H_small`` (the split of :func:`fwht`), so
-    coordinate j is a pair (j1, j2) and kept index t a pair (bt, lt).  A
+    Kronecker product ``H_big kron H_small`` (:func:`_kron_split`), so
+    coordinate j is a pair (j1, j2) and kept index t a pair (bt, lt); both
+    applies and ``densify`` work on the two factors alone.  A
     subsampled transform need only compute the outputs it keeps (Woolfe,
     Liberty, Rokhlin and Tygert, ACHA 2008), and both applies run the same
     two stages on BLAS: stage 1 contracts j2 in each of the nb blocks j1 that
@@ -80,7 +81,7 @@ def _next_pow2(n: int) -> int:
     return 1 << (int(n) - 1).bit_length()
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=16)  # every SRHT build asks for its two factors; a fresh one takes 50-150 us
 def _sylvester(size: int) -> np.ndarray:
     """Unnormalized +-1 Sylvester Hadamard matrix of a power-of-two ``size`` (shared, read-only)."""
     h = np.ones((1, 1))
@@ -98,40 +99,6 @@ def _kron_split(n: int) -> tuple[int, int]:
     """
     log_n = n.bit_length() - 1
     return 1 << (log_n + 1) // 2, 1 << log_n // 2
-
-
-def fwht(a: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Unnormalized fast Walsh-Hadamard transform along ``axis``.
-
-    Equivalent to multiplying by the Sylvester-ordered Hadamard matrix H_n
-    of size ``n = a.shape[axis]``, which must be a power of two; a 1-D
-    input is transformed as one fiber.
-
-    The Sylvester identity ``H_n = H_big kron H_small`` (:func:`_kron_split`)
-    splits the transform into two small Hadamard GEMMs on reshaped views of
-    the input, with no transpose copy on either axis.  That is
-    ``n * (big + small)`` multiply-adds per fiber (96 n at n = 2048, against
-    the butterfly's 11 n additions), but run by BLAS, whereas each of the
-    butterfly's log2(n) passes is a memory-bound numpy sweep that allocates
-    and writes the whole array; on 2048 x 1000 the split is about 5x faster.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if axis not in (0, 1):
-        raise ValueError("axis must be 0 or 1")
-    if a.ndim == 1:
-        axis = 0
-    n = a.shape[axis]
-    if n < 1 or n & (n - 1):
-        raise ValueError(f"transform length {n} is not a power of two")
-    big, small = _kron_split(n)
-    h_big, h_small = _sylvester(big), _sylvester(small)
-    if axis == 0:
-        cols = a.size // n
-        out = h_big @ a.reshape(big, small * cols)
-        return np.matmul(h_small, out.reshape(big, small, cols)).reshape(a.shape)
-    rows = a.shape[0]
-    out = a.reshape(rows * big, small) @ h_small
-    return np.matmul(h_big, out.reshape(rows, big, small)).reshape(a.shape)
 
 
 def check_sketch(kind: str, n: int, r: int, s: int | None = None) -> None:
@@ -300,10 +267,13 @@ class SketchOperator:
             out[rows, self._cols.ravel()] = self._signs.ravel() / math.sqrt(self.s)
             return out
         if self.kind == "srht":
-            one_hot = np.zeros((self._n_pad, self.r))
-            one_hot[self._subset, np.arange(self.r)] = 1.0
-            columns = fwht(one_hot, axis=0)  # H[:, T]
-            return (self._scaled_signs[:, None] * columns)[: self.n, :]
+            # H[:, T] from the factors the applies use: entry ((i1, i2), (bt, lt)) is
+            # h_big[i1, bt] * h_small[i2, lt], a +-1 product, so every value is exact;
+            # C order, which the fancy-indexed factors alone would not give
+            big, small = _kron_split(self._n_pad)
+            bt, lt = np.divmod(self._subset, small)
+            columns = np.multiply(_sylvester(big)[:, None, bt], _sylvester(small)[None, :, lt], order="C")
+            return (self._scaled_signs[:, None] * columns.reshape(self._n_pad, self.r))[: self.n, :]
         if self.kind == "identity":
             return np.eye(self.n)
         return self._dense.copy()

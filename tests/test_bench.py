@@ -375,6 +375,30 @@ def test_replay_record_checks_the_row_and_the_matrix(tmp_path):
         replay_record(-load_matrix(str(path)), nys)
 
 
+def test_replay_record_rejects_a_sketch_kind_the_row_contradicts(tmp_path):
+    # a row records s = 0 exactly when its method applied a sketch other than
+    # CountSketch; replayed under the other kind it would return other errors
+    data = "polydecay:60x37:seed=1"
+    methods = ["sketched-randsvd", "lowrank-factorize"]
+    a = load_matrix(data)
+    srht = run_benchmark(small_config(
+        tmp_path, dataset=data, methods=methods, k=4, l_values=[8], q_max=1, trials=1,
+        sketch_kind="srht", output_path=str(tmp_path / "srht.csv"),
+    ))
+    for rec in srht:
+        assert rec.s == 0
+        assert replay_record(a, rec, sketch_kind="srht") == (rec.spec_err, rec.frob_err, rec.rel_err)
+        with pytest.raises(ValueError, match="other than countsketch"):
+            replay_record(a, rec)
+    counted = run_benchmark(small_config(
+        tmp_path, dataset=data, methods=methods, k=4, l_values=[8], q_max=0, trials=1, s=2,
+    ))
+    for rec in counted:
+        assert rec.s == 2
+        with pytest.raises(ValueError, match="run with countsketch"):
+            replay_record(a, rec, sketch_kind="srht")
+
+
 def test_psd_check_runs_once_per_benchmark(tmp_path, monkeypatch):
     # the check's eigenvalues are also the profile's: the psd input is
     # decomposed once per run, and once per replay

@@ -8,8 +8,9 @@ from skpower.data_io import gen_polydecay
 from skpower.power import randsvd, range_finder_classical
 from skpower.sketching import (
     SKETCH_KINDS,
+    _kron_split,
+    _sylvester,
     countsketch_size,
-    fwht,
     make_sketch,
     sketch_size,
     substream,
@@ -136,81 +137,51 @@ class TestApply:
         np.testing.assert_array_equal(a, before)
 
 
-def test_fwht_matches_explicit_hadamard():
-    h2 = np.array([[1.0, 1.0], [1.0, -1.0]])
-    h8 = np.kron(np.kron(h2, h2), h2)
-    rng = np.random.default_rng(16)
-    a = rng.standard_normal((8, 5))
-    np.testing.assert_allclose(fwht(a, axis=0), h8 @ a, atol=1e-12)
-    np.testing.assert_allclose(fwht(a.T, axis=1), a.T @ h8, atol=1e-12)
-    with pytest.raises(ValueError, match="power of two"):
-        fwht(np.ones((6, 2)))
-
-
 def _sylvester_by_kron(n):
-    h2 = np.array([[1.0, 1.0], [1.0, -1.0]])
-    h = np.ones((1, 1))
+    # int8: exact, and an eighth of the float64 matrix at n = 4096
+    h2 = np.array([[1, 1], [1, -1]], dtype=np.int8)
+    h = np.ones((1, 1), dtype=np.int8)
     while h.shape[0] < n:
         h = np.kron(h, h2)
     return h
 
 
-class TestFwht:
-    @pytest.mark.parametrize("log_n", range(13))
-    def test_every_length_matches_sylvester_matrix(self, log_n):
-        n = 1 << log_n
-        h = _sylvester_by_kron(n)
-        rng = np.random.default_rng(100 + log_n)
-        a = rng.standard_normal((n, 3))
-        b = rng.standard_normal((5, n))
-        v = rng.standard_normal(n)
-        tol = 1e-12 * math.sqrt(n)
-        np.testing.assert_allclose(fwht(a, axis=0), h @ a, rtol=0, atol=tol)
-        np.testing.assert_allclose(fwht(b, axis=1), b @ h, rtol=0, atol=tol)
-        np.testing.assert_allclose(fwht(v), h @ v, rtol=0, atol=tol)
-        np.testing.assert_allclose(fwht(v, axis=1), h @ v, rtol=0, atol=tol)
+@pytest.mark.parametrize("log_n", range(13))
+def test_kron_factors_give_sylvester_matrix(log_n):
+    # the factors the SRHT applies and densify use; _sylvester is asked only for them (<= 64)
+    n = 1 << log_n
+    big, small = _kron_split(n)
+    assert big * small == n and small <= big <= 2 * small
+    np.testing.assert_array_equal(np.kron(_sylvester(big), _sylvester(small)), _sylvester_by_kron(n))
 
-    def test_non_contiguous_inputs(self):
-        n = 64
-        h = _sylvester_by_kron(n)
-        rng = np.random.default_rng(17)
-        base = rng.standard_normal((n, 2 * n))
-        views = {
-            "transposed": base[:, :n].T,
-            "fortran": np.asfortranarray(base[:, :n]),
-            "strided": base[:, ::2],
-        }
-        for name, x in views.items():
-            assert not x.flags.c_contiguous, name
-            np.testing.assert_allclose(fwht(x, axis=0), h @ x, rtol=0, atol=1e-11, err_msg=name)
-            np.testing.assert_allclose(fwht(x, axis=1), x @ h, rtol=0, atol=1e-11, err_msg=name)
 
-    def test_rejects_bad_length_and_axis(self):
-        for n in (0, 3, 6, 1000):
-            with pytest.raises(ValueError, match="power of two"):
-                fwht(np.ones((2, n)), axis=1)
-        with pytest.raises(ValueError, match="axis"):
-            fwht(np.ones((4, 4)), axis=2)
+@pytest.mark.parametrize("n", [1, 3, 24, 37, 100, 1000])
+def test_srht_densify_equals_independent_oracle(n):
+    # (1/sqrt(r)) D H[:, T] cut to n rows, with H built here: a dropped sign, column or row fails
+    n_pad = 1 << (n - 1).bit_length()
+    h = _sylvester_by_kron(n_pad)
+    for r in sorted({1, _kron_split(n_pad)[1], n_pad}):
+        op = make_sketch("srht", n, r, seed=substream(25, n, r))
+        expected = (op._scaled_signs[:, None] * h[:, op._subset])[:n]
+        dense = op.densify()
+        np.testing.assert_array_equal(dense, expected, err_msg=str(r))
+        assert dense.flags.c_contiguous, r
 
-    def test_inputs_left_unmodified(self):
-        rng = np.random.default_rng(18)
-        x = rng.standard_normal((32, 20))
-        before = x.copy()
-        fwht(x, axis=0)
-        fwht(x.T, axis=1)
-        np.testing.assert_array_equal(x, before)
-        # every kind; srht padded and unpadded, countsketch across a row-block edge
-        for kind in SKETCH_KINDS:
-            s = 2 if kind == "countsketch" else None
-            for n in (24, 32):
-                op = make_sketch(kind, n, n if kind == "identity" else 10, seed=19, s=s)
-                a = rng.standard_normal((300, n))
-                b = rng.standard_normal((n, 5))
-                a0, b0 = a.copy(), b.copy()
-                op.apply_right(a)
-                op.apply_left_transpose(b)
-                np.testing.assert_array_equal(a, a0, err_msg=kind)
-                np.testing.assert_array_equal(b, b0, err_msg=kind)
+
+def test_applies_leave_inputs_unmodified():
+    rng = np.random.default_rng(18)
+    # every kind; srht padded and unpadded, countsketch across a row-block edge
+    for kind in SKETCH_KINDS:
+        s = 2 if kind == "countsketch" else None
+        for n in (24, 32):
+            op = make_sketch(kind, n, n if kind == "identity" else 10, seed=19, s=s)
+            a = rng.standard_normal((300, n))
+            b = rng.standard_normal((n, 5))
+            a0, b0 = a.copy(), b.copy()
+            op.apply_right(a)
+            op.apply_left_transpose(b)
+            np.testing.assert_array_equal(a, a0, err_msg=kind)
+            np.testing.assert_array_equal(b, b0, err_msg=kind)
 
 
 @pytest.mark.parametrize("s", [1, 2, 4])
