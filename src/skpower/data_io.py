@@ -301,9 +301,10 @@ def read_binary(path) -> np.ndarray:
 class TrialRecord:
     """One benchmark measurement row.
 
-    ``time_ms`` is the cumulative wall time of the algorithm up to this
-    iterate, so it is non-decreasing in ``q_iter`` within one
-    (method, trial) series.
+    ``sketch_kind`` is the sketch family the run was given and ``s`` its
+    CountSketch fill, read only by CountSketch.  ``time_ms`` is the
+    cumulative wall time of the algorithm up to this iterate, so it is
+    non-decreasing in ``q_iter`` within one (method, trial) series.
     """
 
     method: str
@@ -314,6 +315,7 @@ class TrialRecord:
     l: int
     r1: int
     r2: int
+    sketch_kind: str
     s: int
     q_iter: int
     eps: float
@@ -367,7 +369,7 @@ def read_records_csv(path) -> list[TrialRecord]:
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
         if header != _RECORD_FIELDS:
-            raise ValueError(f"{path}: unexpected header {header}")
+            raise ValueError(f"{path}: bad header {header}, missing {sorted(set(_RECORD_FIELDS) - set(header))}")
         records = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(_RECORD_FIELDS):

@@ -395,8 +395,11 @@ def randsvd(a, q_basis) -> SvdResult:
     (U~, sigma, V), and returns (Q U~, sigma, V), so that
     U diag(sigma) V.T == Q Q.T a up to rounding.
     """
-    q_basis, b = orthonormal_projection(a, q_basis)
-    u_small, sigma, v = thin_svd(b)
+    return _svd_assembly(*orthonormal_projection(a, q_basis))
+
+
+def _svd_assembly(q_basis: np.ndarray, b: np.ndarray) -> SvdResult:
+    u_small, sigma, v = thin_svd(b)  # the decomposition and rotation of randsvd, given Q and B = Q.T a
     return SvdResult(U=q_basis @ u_small, sigma=sigma, V=v)
 
 

@@ -120,7 +120,7 @@ class TestRun:
         records = run_benchmark(cfg)
         a = load_matrix(cfg.dataset)
         for rec in records[::5]:
-            spec, frob, rel = replay_record(a, rec, sketch_kind=cfg.sketch_kind)
+            spec, frob, rel = replay_record(a, rec)
             assert abs(spec - rec.spec_err) <= 1e-10 * max(rec.spec_err, 1.0)
             assert abs(frob - rec.frob_err) <= 1e-10 * max(rec.frob_err, 1.0)
             assert abs(rel - rec.rel_err) <= 1e-10
@@ -258,7 +258,7 @@ def test_replay_record_regenerates_classical_and_nystrom_rows(tmp_path):
     a = load_matrix(cfg.dataset)
     assert {r.method for r in records} == {"classical-randsvd", "nystrom"}
     for rec in records:
-        assert replay_record(a, rec, sketch_kind=cfg.sketch_kind) == (
+        assert replay_record(a, rec) == (
             rec.spec_err, rec.frob_err, rec.rel_err
         )
 
@@ -279,7 +279,7 @@ def test_bench_and_replay_through_the_cancellation_fallback(tmp_path, monkeypatc
     assert len(records) == 9 and len(formed) == 9
     a = load_matrix(cfg.dataset)
     for rec in records:
-        assert replay_record(a, rec, sketch_kind=cfg.sketch_kind) == (
+        assert replay_record(a, rec) == (
             rec.spec_err, rec.frob_err, rec.rel_err
         )
     assert len(formed) == 9 + 3 * (1 + 2 + 3)
@@ -375,28 +375,27 @@ def test_replay_record_checks_the_row_and_the_matrix(tmp_path):
         replay_record(-load_matrix(str(path)), nys)
 
 
-def test_replay_record_rejects_a_sketch_kind_the_row_contradicts(tmp_path):
-    # a row records s = 0 exactly when its method applied a sketch other than
-    # CountSketch; replayed under the other kind it would return other errors
+@pytest.mark.parametrize("kind", ["gaussian", "sign", "countsketch", "srht"])
+def test_every_sketch_kind_replays_from_its_csv_alone(tmp_path, kind):
+    # a row records the sketch it ran, so the CSV alone regenerates it; n = 37
+    # pads the SRHT to 64, and s = 2 is read by CountSketch only
     data = "polydecay:60x37:seed=1"
-    methods = ["sketched-randsvd", "lowrank-factorize"]
+    cfg = small_config(
+        tmp_path, dataset=data, k=4, l_values=[8], q_max=2, trials=1, sketch_kind=kind, s=2,
+        methods=["sketched-randsvd", "classical-randsvd", "lowrank-factorize", "lowrank-factorize-unsketched"],
+    )
+    run_benchmark(cfg)
     a = load_matrix(data)
-    srht = run_benchmark(small_config(
-        tmp_path, dataset=data, methods=methods, k=4, l_values=[8], q_max=1, trials=1,
-        sketch_kind="srht", output_path=str(tmp_path / "srht.csv"),
-    ))
-    for rec in srht:
-        assert rec.s == 0
-        assert replay_record(a, rec, sketch_kind="srht") == (rec.spec_err, rec.frob_err, rec.rel_err)
-        with pytest.raises(ValueError, match="other than countsketch"):
-            replay_record(a, rec)
-    counted = run_benchmark(small_config(
-        tmp_path, dataset=data, methods=methods, k=4, l_values=[8], q_max=0, trials=1, s=2,
-    ))
-    for rec in counted:
-        assert rec.s == 2
-        with pytest.raises(ValueError, match="run with countsketch"):
-            replay_record(a, rec, sketch_kind="srht")
+    rows = read_records_csv(cfg.output_path)
+    assert len(rows) == 4 * 3 and {(r.sketch_kind, r.s) for r in rows} == {(kind, 2)}
+    for rec in rows:
+        assert replay_record(a, rec) == (rec.spec_err, rec.frob_err, rec.rel_err)
+    lines = pathlib.Path(cfg.output_path).read_text().splitlines()
+    edited = tmp_path / "edited.csv"
+    edited.write_text(f"{lines[0]}\n{lines[1].replace(f',{kind},', ',bogus,')}\n")
+    (bogus,) = read_records_csv(edited)
+    with pytest.raises(ValueError, match="unknown sketch kind"):
+        replay_record(a, bogus)
 
 
 def test_psd_check_runs_once_per_benchmark(tmp_path, monkeypatch):

@@ -279,6 +279,21 @@ class TestRun:
         )
         assert code == 0 and decomposed.count(True) == 1
 
+    @pytest.mark.parametrize("method", ["sketched-randsvd", "classical-randsvd"])
+    def test_basis_run_projects_once(self, capsys, monkeypatch, method):
+        # the residuals and the randomized SVD share one Q^T A and one check of Q^T Q - I
+        import skpower.diagnostics as diag_mod
+        import skpower.linalg as linalg_mod
+
+        projected = []
+        for module in (diag_mod, linalg_mod):
+            real = module._projection
+            monkeypatch.setattr(module, "_projection", lambda a, q, real=real: projected.append(q.shape) or real(a, q))
+        code, out, _ = run_cli(
+            capsys, "run", "--data", "polydecay:60x40:seed=1", "--method", method, "--k", "4", "--l", "8",
+        )
+        assert code == 0 and projected == [(60, 8)]
+
     def test_k_at_min_dimension_prints_nan_rel_err(self, capsys):
         # sigma_(k+1) does not exist at k = min(m, n): the run reports no relative error
         code, out, _ = run_cli(

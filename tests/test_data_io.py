@@ -206,6 +206,7 @@ def _random_record(rng, trial, q_iter, time_ms):
         l=20,
         r1=20,
         r2=10,
+        sketch_kind="countsketch",
         s=1,
         q_iter=q_iter,
         eps=0.5,
@@ -223,10 +224,19 @@ class TestRecordsCsv:
         path = tmp_path / "empty.csv"
         write_records_csv([], path)
         assert path.read_text().strip() == (
-            "method,dataset,m,n,k,l,r1,r2,s,q_iter,eps,seed,trial,time_ms,"
+            "method,dataset,m,n,k,l,r1,r2,sketch_kind,s,q_iter,eps,seed,trial,time_ms,"
             "spec_err,frob_err,rel_err"
         )
         assert read_records_csv(path) == []
+
+    def test_header_without_the_sketch_kind_names_it(self, tmp_path):
+        # the 17-column header of rows that did not record their sketch kind
+        path = tmp_path / "old.csv"
+        path.write_text(
+            "method,dataset,m,n,k,l,r1,r2,s,q_iter,eps,seed,trial,time_ms,spec_err,frob_err,rel_err\n"
+        )
+        with pytest.raises(ValueError, match=r"missing \['sketch_kind'\]"):
+            read_records_csv(path)
 
     def test_round_trip_lossless(self, tmp_path):
         rng = np.random.default_rng(12)
