@@ -26,10 +26,11 @@ recomputed from scratch at every reported point and is identical across
 the methods being compared at a fixed target rank, so accumulating it
 would only blur the comparison.
 
-Error metrics go through :mod:`skpower.diagnostics`, on the residual
-``A - L R`` of the thin factors each method's ``low_rank`` gives (``Y`` and
-``X``, ``C`` and ``W^+ C^T``), without forming it; a randsvd basis ``Q`` is
-measured as the projection ``A - Q Q^T A``.  With ``L = Q T`` for an
+Error metrics come from one :mod:`skpower.diagnostics` call per point, on
+the residual ``A - L R`` whose operands each method's ``operands`` hook
+gives (a randsvd basis ``Q`` its projection, ``L = Q`` and ``R = Q^T A``;
+``Y`` and ``X``; ``C`` and ``W^+ C^T``), without forming it and without
+checking ``A`` again (it is checked once per run).  With ``L = Q T`` for an
 orthonormal ``Q`` (``L`` itself with ``T = I`` where it is orthonormal to
 working precision, as a basis is, whose projection then has ``D = 0``;
 else CholeskyQR2, or a Householder QR of a left factor too ill-conditioned
@@ -64,20 +65,15 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import islice
 
-from . import data_io
+from . import data_io, diagnostics
 from .data_io import TrialRecord
-from .diagnostics import (
-    MatrixGram,
-    SpectralProfile,
-    WarmStart,
-    estimated_approximation_residuals,
-    estimated_projection_residuals,
-    matrix_gram,
-    relative_error,
-)
-from .linalg import orthonormalize, pinv  # not called here; bindings the perfbench tracer wraps
+from .diagnostics import MatrixGram, SpectralProfile, WarmStart, matrix_gram, relative_error
 from .power import _METHODS, RangeFinderSpec, _checked, _iterates
-from .sketching import make_sketch, substream  # make_sketch: a binding the perfbench tracer wraps
+from .sketching import _check_kind, substream
+# not called here; bindings the perfbench tracer wraps
+from .diagnostics import estimated_approximation_residuals, estimated_projection_residuals
+from .linalg import orthonormalize, pinv
+from .sketching import make_sketch
 
 METHODS = tuple(_METHODS)
 
@@ -180,23 +176,18 @@ def config_from_mapping(values: dict) -> BenchConfig:
 
 
 def _series(a, method: str, k: int, l: int, q: int, seed: int, **params):
-    """The validated states of one series: a primary sketch of size l and a k-column start block."""
+    """The validated states of one series: a primary sketch of size l and a k-column start block.
+    The sketch kind its rows record is checked also where the method builds no sketch of it."""
+    _check_kind(params["sketch_kind"])
     return _iterates(a, RangeFinderSpec(k=k, l=l, r1=l, r2=k, q=q, seed=seed, **params), method)
 
 
 def _errors(a, entry, state, profile: SpectralProfile, gram: MatrixGram, warm: WarmStart):
-    """``(spec_err, frob_err, rel_err)`` of the factors ``entry`` assembles from ``state``.
-
-    A basis ``Q`` is measured as the projection ``Q Q^T A``, every other
-    method on its thin pair ``L R``.
-    """
-    factors = entry.assemble(state)
+    """``(spec_err, frob_err, rel_err)`` of the factors ``entry`` assembles from ``state``,
+    measured on the residual operands its hook gives; ``a`` is already checked."""
     seed = substream(state.spec.seed, _ERR_STREAM, state.q)
-    if "Q" in factors:
-        norm, frob = estimated_projection_residuals(a, factors["Q"], seed=seed, gram=gram, warm=warm)
-    else:
-        left, right = entry.low_rank(a, factors)
-        norm, frob = estimated_approximation_residuals(a, left, right, seed=seed, gram=gram, warm=warm)
+    operands = entry.operands(a, entry.assemble(state))
+    norm, frob = diagnostics._estimated_residuals(a, *operands, seed, gram, warm)
     return norm, frob, relative_error(norm, profile, state.spec.k)
 
 

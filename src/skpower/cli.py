@@ -117,18 +117,13 @@ def _cmd_run(args) -> int:
     # first: a rejected input costs no SVD, and a psd one is decomposed by its check alone
     saved, stage, spec, eigenvalues = power._advance(a, spec, args.method)
     profile = diagnostics.SpectralProfile.from_matrix(a, eigenvalues)
-    if "Q" in saved:  # a basis: its projection Q Q^T A is judged, as in bench, and its randomized SVD reported
-        a, q_basis, b, dev = diagnostics._projected(a, saved["Q"])  # Q^T A, formed once for both
-        rank = q_basis.shape[1]
-        spec_err, frob_err = diagnostics._exact_residuals(a, q_basis, b, dev)
+    left, right, basis_dev = entry.operands(a, saved)  # the residual A - L R judged, as in bench
+    spec_err, frob_err = diagnostics._exact_residuals(a, left, right, basis_dev)
+    if basis_dev is not None:  # a basis Q: its randomized SVD is reported, from the residual's R = Q^T A
         t0 = time.perf_counter()
-        u, sigma, v = power._svd_assembly(q_basis, b)
+        u, sigma, v = power._svd_assembly(left, right)
         stage["svd_assembly"] = time.perf_counter() - t0
         saved = {"U": u, "sigma": sigma.reshape(1, -1), "V": v}
-    else:
-        left, right = entry.low_rank(a, saved)
-        rank = left.shape[1]
-        spec_err, frob_err = diagnostics.approximation_residuals(a, left, right)
     try:
         rel_err = diagnostics.relative_error(spec_err, profile, args.k)
     except ValueError:  # no positive sigma_(k+1): k = min(m, n), or an exactly rank-k input
@@ -139,7 +134,7 @@ def _cmd_run(args) -> int:
         m=m,
         n=n,
         k=args.k,
-        rank=rank,  # of the approximation judged; rel_err compares it with sigma_(k+1)
+        rank=left.shape[1],  # of the approximation judged; rel_err compares it with sigma_(k+1)
         l=spec.l,
         r1=spec.r1,
         r2=spec.r2,

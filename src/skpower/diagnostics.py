@@ -392,11 +392,12 @@ def approximation_residuals(a, left, right) -> tuple[float, float]:
     form of :func:`_thin`, ``eigvalsh`` of ``A.T A - B.T B + D.T D`` and the
     Frobenius norm :func:`estimated_approximation_residuals` gives; where it
     cancels, both from the formed residual."""
-    return _exact_residuals(*_operands(a, left, right))
+    return _exact_residuals(*_operands(a, left, right), None)
 
 
-def _exact_residuals(a, left, right, basis_dev: float | None = None) -> tuple[float, float]:
-    """:func:`approximation_residuals` of checked operands (``basis_dev``: see :func:`_thin`)."""
+def _exact_residuals(a, left, right, basis_dev: float | None) -> tuple[float, float]:
+    """:func:`approximation_residuals` of checked operands, the triple a method's ``operands`` hook
+    gives: a projection passes its basis check's ``max |Q.T Q - I|``, any other pair None (see :func:`_thin`)."""
     gram = _gram(a)
     thin = _thin(a, left, right, gram.frob2, basis_dev)
     if thin is None:
@@ -424,13 +425,14 @@ def estimated_approximation_residuals(
     (which is not checked again) and the exact Frobenius norm, and ``warm``
     is emptied.
     """
-    return _estimated_residuals(*_operands(a, left, right), seed, gram, warm)
+    return _estimated_residuals(*_operands(a, left, right), None, seed, gram, warm)
 
 
 def _estimated_residuals(
-    a, left, right, seed: int, gram: MatrixGram | None, warm: WarmStart | None, basis_dev: float | None = None
+    a, left, right, basis_dev: float | None, seed: int, gram: MatrixGram | None, warm: WarmStart | None
 ) -> tuple[float, float]:
-    """:func:`estimated_approximation_residuals` of checked operands (``basis_dev``: see :func:`_thin`)."""
+    """:func:`estimated_approximation_residuals` of checked operands, on the
+    ``(left, right, basis_dev)`` triple of :func:`_exact_residuals`."""
     gram = _gram(a) if gram is None else gram
     g = gram.gram
     if g.shape != (min(a.shape),) * 2:
@@ -467,8 +469,7 @@ def estimated_projection_residuals(
     """Like :func:`projection_residuals` with the spectral norm estimated,
     as :func:`estimated_approximation_residuals` estimates it (``gram`` and
     ``warm`` alike); ``Q.T a`` and ``Q.T Q`` are formed once."""
-    a, q, b, dev = _projected(a, q_basis)
-    return _estimated_residuals(a, q, b, seed, gram, warm, dev)
+    return _estimated_residuals(*_projected(a, q_basis), seed, gram, warm)
 
 
 def approximation_error_bound(

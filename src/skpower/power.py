@@ -26,14 +26,14 @@ first re-bases the block on a well-conditioned basis of its span (Halko,
 Martinsson & Tropp 2011, sec. 4.5), so every q is stable.  A method of
 ``_METHODS`` (the five names the library, ``skpower run`` and ``skpower
 bench`` share) says what the engine powers, how its factors are assembled
-and the thin pair ``L @ R`` they approximate A by.  The public functions
-advance the engine to ``spec.q`` and assemble; the benchmark steps it one
-iterate at a time, so its ``time_ms`` (the ``sketch`` and ``power`` stages:
-sketch build and apply, start block and first product at q = 0, then per
-step one stabilization and core product, the Gram at the first, and the
-block ``Y = A S z``; the secondary sketch, the assembly and the error
-evaluation excluded) comes from the same code and clock that the library
-runs.
+and the operands of the residual ``A - L R`` its error is measured on.
+The public functions advance the engine to ``spec.q`` and assemble; the
+benchmark steps it one iterate at a time, so its ``time_ms`` (the
+``sketch`` and ``power`` stages: sketch build and apply, start block and
+first product at q = 0, then per step one stabilization and core product,
+the Gram at the first, and the block ``Y = A S z``; the secondary sketch,
+the assembly and the error evaluation excluded) comes from the same code
+and clock that the library runs.
 
 Seeds: the primary sketch uses substream 0 of ``spec.seed``, the Gaussian
 start block substream 1, and the secondary regression sketch substream 2,
@@ -49,6 +49,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import linalg
 from .linalg import as_matrix, orthonormal_projection, orthonormalize, pinv, span_basis, thin_svd, SvdResult
 from .linalg import psd_eigenvalues as _check_psd  # a power binding, for wrappers installed on it
 from .sketching import SketchOperator, check_sketch, make_sketch, substream
@@ -300,8 +301,10 @@ class _Method(NamedTuple):
 
     assemble: Callable[[_Iterate], dict[str, np.ndarray]]
     stage: str  # the elapsed key of the assembly
-    # (A, factors) -> thin (L, R) with A ~= L @ R, the approximation its error is measured on
-    low_rank: Callable[[np.ndarray, dict], tuple[np.ndarray, np.ndarray]]
+    # (checked A, factors) -> (L, R, basis_dev), the operands of the residual A - L R its error is
+    # measured on: a basis Q gives its projection (Q, Q.T A, max |Q.T Q - I|), any other method
+    # its thin pair and None
+    operands: Callable[[np.ndarray, dict], tuple[np.ndarray, np.ndarray, float | None]]
     sketched: bool = True  # False: the identity primary sketch, r1 = n (a classical baseline)
     core: bool = False  # power the Nystrom core S.T A S rather than A S: needs a symmetric psd input
     regression: bool = False  # build the secondary sketch S2.T A
@@ -311,21 +314,21 @@ class _Method(NamedTuple):
         return self.sketched or self.regression
 
 
-def _projection(a: np.ndarray, factors: dict) -> tuple[np.ndarray, np.ndarray]:
-    return factors["Q"], factors["Q"].T @ a
+def _basis_projection(a: np.ndarray, factors: dict) -> tuple[np.ndarray, np.ndarray, float]:
+    return linalg._projection(a, factors["Q"])  # looked up at call time, where a wrapper sees it
 
 
-def _product(a: np.ndarray, factors: dict) -> tuple[np.ndarray, np.ndarray]:
-    return factors["Y"], factors["X"]
+def _product(a: np.ndarray, factors: dict) -> tuple[np.ndarray, np.ndarray, None]:
+    return factors["Y"], factors["X"], None
 
 
-def _nystrom_product(a: np.ndarray, factors: dict) -> tuple[np.ndarray, np.ndarray]:
-    return factors["C"], pinv(factors["W"]) @ factors["C"].T
+def _nystrom_product(a: np.ndarray, factors: dict) -> tuple[np.ndarray, np.ndarray, None]:
+    return factors["C"], pinv(factors["W"]) @ factors["C"].T, None
 
 
 _METHODS = {
-    "classical-randsvd": _Method(_basis, "basis", _projection, sketched=False),
-    "sketched-randsvd": _Method(_basis, "basis", _projection),
+    "classical-randsvd": _Method(_basis, "basis", _basis_projection, sketched=False),
+    "sketched-randsvd": _Method(_basis, "basis", _basis_projection),
     "lowrank-factorize": _Method(_regression, "regression", _product, regression=True),
     "lowrank-factorize-unsketched": _Method(
         _regression, "regression", _product, sketched=False, regression=True

@@ -101,6 +101,11 @@ def _kron_split(n: int) -> tuple[int, int]:
     return 1 << (log_n + 1) // 2, 1 << log_n // 2
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in SKETCH_KINDS:
+        raise ValueError(f"unknown sketch kind {kind!r}, expected one of {SKETCH_KINDS}")
+
+
 def check_sketch(kind: str, n: int, r: int, s: int | None = None) -> None:
     """Raise unless ``make_sketch(kind, n, r, seed, s)`` can build its operator.
 
@@ -109,8 +114,7 @@ def check_sketch(kind: str, n: int, r: int, s: int | None = None) -> None:
     ``1 <= s <= r`` (s defaults to 1), SRHT ``r`` at most the padded ``n``,
     and identity ``r == n``.
     """
-    if kind not in SKETCH_KINDS:
-        raise ValueError(f"unknown sketch kind {kind!r}, expected one of {SKETCH_KINDS}")
+    _check_kind(kind)
     if r < 1:
         raise ValueError(f"sketch dimension r must be >= 1, got {r}")
     if n < 1:

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 import skpower.bench as bench_mod
+import skpower.data_io as data_io_mod
 import skpower.diagnostics as diag_mod
+import skpower.linalg as linalg_mod
 import skpower.power as power_mod
+import skpower.sketching as sketching_mod
 from conftest import psd_polydecay, random_psd
 from skpower.bench import (
     METHODS,
@@ -232,19 +235,39 @@ def test_bench_row_factors_equal_library_factors(tmp_path, monkeypatch, method, 
     )
     seen = []
 
-    def capture(a, left, right, seed, gram, warm):
+    def capture(a, left, right, basis_dev, seed, gram, warm):
         seen.append((left, right))
         return 1.0, 1.0
 
-    monkeypatch.setattr(bench_mod, "estimated_approximation_residuals", capture)
-    monkeypatch.setattr(  # a basis is measured as its projection
-        bench_mod, "estimated_projection_residuals", lambda a, q, seed, gram, warm: capture(a, q, None, seed, gram, warm)
-    )
+    monkeypatch.setattr(diag_mod, "_estimated_residuals", capture)  # a basis is measured as its projection
     records = run_benchmark(cfg)
     assert [r.q_iter for r in records] == list(range(q + 1))
     expected = _library_factors(load_matrix(cfg.dataset), method, 5, 15, q, records[-1].seed)
     left, right = seen[-1]
     assert np.array_equal(left if method.endswith("randsvd") else left @ right, expected)
+
+
+def test_bench_checks_the_matrix_once_per_run(tmp_path, monkeypatch):
+    # A is checked as it is loaded and set up, never at an error point: the
+    # number of scans of an A-shaped array does not grow with q_max
+    path = tmp_path / "psd.skpw"
+    write_binary(psd_polydecay(60, seed=4), path)
+    scans, real = [], linalg_mod.as_matrix
+
+    def counted(x, name="matrix"):
+        out = real(x, name)
+        scans.append(out.shape == (60, 60))
+        return out
+
+    for module in (linalg_mod, sketching_mod, power_mod, diag_mod, data_io_mod):
+        monkeypatch.setattr(module, "as_matrix", counted)
+    counts = []
+    for q_max in (2, 6):
+        scans.clear()
+        cfg = small_config(tmp_path, dataset=str(path), methods=list(METHODS), k=5, l_values=[15], q_max=q_max)
+        run_benchmark(cfg)
+        counts.append(scans.count(True))
+    assert counts[0] == counts[1]
 
 
 def test_replay_record_regenerates_classical_and_nystrom_rows(tmp_path):
@@ -321,6 +344,11 @@ _BAD_L = r"need 1 <= k <= l <= min\(m, n\)"
         pytest.param([8], {"s": 9}, r"countsketch needs 1 <= s <= r", id="s-above-r"),
         pytest.param([8], {"s": 0}, r"countsketch needs 1 <= s <= r", id="s-zero"),
         pytest.param([8], {"sketch_kind": "bogus"}, "unknown sketch kind", id="unknown-kind"),
+        # a classical randsvd builds no sketch of the kind its rows record, which is checked all the same
+        pytest.param(
+            [8], {"methods": ["classical-randsvd"], "sketch_kind": "bogus"}, "unknown sketch kind",
+            id="unknown-kind-classical",
+        ),
     ],
 )
 def test_series_spec_rejected_before_the_profile_and_the_csv(tmp_path, monkeypatch, l_values, options, match):
@@ -330,9 +358,9 @@ def test_series_spec_rejected_before_the_profile_and_the_csv(tmp_path, monkeypat
         raise AssertionError("the profile was computed for a rejected spec")
 
     monkeypatch.setattr(bench_mod.SpectralProfile, "from_matrix", classmethod(no_profile))
+    options = {"methods": ["sketched-randsvd", "lowrank-factorize"], **options}
     cfg = small_config(
-        tmp_path, dataset="polydecay:60x40:seed=1", methods=["sketched-randsvd", "lowrank-factorize"], k=4,
-        l_values=l_values, q_max=1, trials=1, **options,
+        tmp_path, dataset="polydecay:60x40:seed=1", k=4, l_values=l_values, q_max=1, trials=1, **options
     )
     with pytest.raises(ValueError, match=match):
         run_benchmark(cfg)
@@ -392,10 +420,12 @@ def test_every_sketch_kind_replays_from_its_csv_alone(tmp_path, kind):
         assert replay_record(a, rec) == (rec.spec_err, rec.frob_err, rec.rel_err)
     lines = pathlib.Path(cfg.output_path).read_text().splitlines()
     edited = tmp_path / "edited.csv"
-    edited.write_text(f"{lines[0]}\n{lines[1].replace(f',{kind},', ',bogus,')}\n")
-    (bogus,) = read_records_csv(edited)
-    with pytest.raises(ValueError, match="unknown sketch kind"):
-        replay_record(a, bogus)
+    edited.write_text("".join(f"{line.replace(f',{kind},', ',bogus,')}\n" for line in lines[:2] + lines[4:5]))
+    bogus = read_records_csv(edited)
+    assert [rec.method for rec in bogus] == ["sketched-randsvd", "classical-randsvd"]
+    for rec in bogus:  # the classical row builds no sketch of its recorded kind
+        with pytest.raises(ValueError, match="unknown sketch kind"):
+            replay_record(a, rec)
 
 
 def test_psd_check_runs_once_per_benchmark(tmp_path, monkeypatch):
@@ -430,18 +460,13 @@ def test_warm_started_rows_stay_within_the_estimator_tolerance(tmp_path, monkeyp
     # every row's spec_err is still a lower bound within 1e-6 of the exact
     # norm of its own factors (lowrank+noise: a residual far below ||A||)
     exact = []
+    real = diag_mod._estimated_residuals
 
-    def spy(name, residual):
-        real = getattr(bench_mod, name)
+    def measured(a, left, right, *args):  # a basis Q comes with R = Q^T A
+        exact.append(np.linalg.norm(a - left @ right, 2))
+        return real(a, left, right, *args)
 
-        def measured(a, *factors, **kwargs):
-            exact.append(np.linalg.norm(a - residual(a, *factors), 2))
-            return real(a, *factors, **kwargs)
-
-        monkeypatch.setattr(bench_mod, name, measured)
-
-    spy("estimated_projection_residuals", lambda a, q: q @ (q.T @ a))
-    spy("estimated_approximation_residuals", lambda a, left, right: left @ right)
+    monkeypatch.setattr(diag_mod, "_estimated_residuals", measured)
     for dataset in ("polydecay:300x200:seed=1", "expdecay:300x200:seed=2", "lowrank:300x200:noise=1e-3:seed=3"):
         exact.clear()
         cfg = small_config(

@@ -6,7 +6,15 @@ from conftest import psd_polydecay
 from skpower.cli import main
 from skpower.data_io import load_matrix, read_binary, read_records_csv, write_binary
 from skpower.diagnostics import projection_residuals
-from skpower.power import RangeFinderSpec, choose_q, range_finder_classical, range_finder_sketched
+from skpower.power import (
+    _METHODS,
+    RangeFinderSpec,
+    choose_q,
+    lowrank_factorize,
+    nystrom_psd,
+    range_finder_classical,
+    range_finder_sketched,
+)
 
 
 def run_cli(capsys, *argv):
@@ -165,6 +173,26 @@ class TestRun:
         assert abs(np.linalg.norm(resid, 2) - float(values["spec_err"])) <= 1e-8 * max(
             float(values["spec_err"]), 1.0
         )
+
+    @pytest.mark.parametrize("method, names", [("lowrank-factorize", ("Y", "X")), ("nystrom", ("C", "W"))])
+    def test_saved_factors_are_the_library_factors(self, tmp_path, capsys, method, names):
+        # a method that is not a basis saves its own factors, bit for bit those of the library function
+        path = tmp_path / "psd.skpw"
+        write_binary(psd_polydecay(40, seed=7), path)
+        prefix = str(tmp_path / "f")
+        code, out, _ = run_cli(
+            capsys, "run", "--data", str(path), "--method", method, "--k", "4", "--l", "8",
+            "--r1", "12", "--r2", "8", "--q", "2", "--sketch", "gaussian", "--seed", "5", "--save-prefix", prefix,
+        )
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("saved=")] == [
+            f"saved={prefix}.{name}.skpw" for name in names
+        ]
+        a = read_binary(path)
+        spec = RangeFinderSpec(k=4, l=8, r1=12, r2=8, q=2, eps=0.5, sketch_kind="gaussian", seed=5)
+        library = lowrank_factorize(a, spec) if method == "lowrank-factorize" else nystrom_psd(a, spec)
+        for name in names:
+            assert np.array_equal(read_binary(f"{prefix}.{name}.skpw"), getattr(library, name))
 
     @pytest.mark.parametrize("recipe", ["polydecay:80x50:seed=2", "polydecay:50x80:seed=2"])
     def test_basis_is_judged_as_its_projection(self, capsys, recipe):
@@ -336,19 +364,20 @@ class TestRun:
         )
         assert code == 2 and "error" in err
 
-    def test_printed_errors_come_from_diagnostics(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("method", list(_METHODS))
+    def test_printed_errors_come_from_diagnostics(self, tmp_path, capsys, monkeypatch, method):
         # wiring contract: the CLI reports exactly what the diagnostics
-        # module computed
+        # module computed, for every method
         import skpower.cli as cli_mod
 
         path = tmp_path / "w.skpw"
-        run_cli(capsys, "gen", "polydecay", "--m", "30", "--n", "20", "--seed", "1", "--out", str(path))
+        write_binary(psd_polydecay(30, seed=1), path)
         sentinel = (123.25, 456.5)
         monkeypatch.setattr(
-            cli_mod.diagnostics, "approximation_residuals", lambda a, left, right: sentinel
+            cli_mod.diagnostics, "_exact_residuals", lambda a, left, right, basis_dev: sentinel
         )
         code, out, _ = run_cli(
-            capsys, "run", "--data", str(path), "--method", "lowrank-factorize",
+            capsys, "run", "--data", str(path), "--method", method,
             "--k", "3", "--l", "6", "--seed", "2", "--s", "1",
         )
         assert code == 0

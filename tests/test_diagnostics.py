@@ -367,7 +367,7 @@ def test_residual_norms_on_both_sides_of_the_cancellation_guard(monkeypatch, met
     # estimator's tolerance and the residual is formed: both sides match an SVD
     a = _noisy_lowrank(_SHAPES[shape], noise, method == "nystrom", seed=41)
     spec = RangeFinderSpec(k=10, l=30, r1=30, r2=10, q=1, eps=0.5, seed=42)
-    left, right = _METHODS[method].low_rank(a, _advance(a, spec, method)[0])
+    left, right, _ = _METHODS[method].operands(a, _advance(a, spec, method)[0])
     resid = a - left @ right
     exact_spec, exact_frob = sla.svdvals(resid)[0], np.linalg.norm(resid)
 
@@ -392,7 +392,7 @@ def test_operands_checked_once_per_public_call(monkeypatch, noise, thin):
     # only on the fallback
     a = _noisy_lowrank(_SHAPES["tall"], noise, False, seed=41)
     spec = RangeFinderSpec(k=10, l=30, r1=30, r2=10, q=1, eps=0.5, seed=42)
-    left, right = _METHODS["sketched-randsvd"].low_rank(a, _advance(a, spec, "sketched-randsvd")[0])
+    left, right, _ = _METHODS["sketched-randsvd"].operands(a, _advance(a, spec, "sketched-randsvd")[0])
     gram = matrix_gram(a)
     checked, formed = [], []
     real_check, real_residual = diag_mod.as_matrix, diag_mod._residual
@@ -553,7 +553,7 @@ def test_every_estimate_is_one_lanczos_run(monkeypatch, lanczos_runs, extensions
     # operator once per basis extension that returned rows
     a = _noisy_lowrank(_SHAPES["tall"], noise, False, seed=41)
     spec = RangeFinderSpec(k=10, l=30, r1=30, r2=10, q=1, eps=0.5, seed=42)
-    left, right = _METHODS["sketched-randsvd"].low_rank(a, _advance(a, spec, "sketched-randsvd")[0])
+    left, right, _ = _METHODS["sketched-randsvd"].operands(a, _advance(a, spec, "sketched-randsvd")[0])
     formed = []
     real_residual = diag_mod._residual
     monkeypatch.setattr(diag_mod, "_residual", lambda *args: formed.append(1) or real_residual(*args))
@@ -687,7 +687,7 @@ def test_warm_start_hands_the_ritz_directions_on(extensions):
     # a point whose thin form cancels forms its residual and passes nothing on
     noisy = _noisy_lowrank(_SHAPES["tall"], 1e-8, False, seed=41)
     spec = RangeFinderSpec(k=10, l=30, r1=30, r2=10, q=1, eps=0.5, seed=42)
-    left, right = _METHODS["lowrank-factorize"].low_rank(noisy, _advance(noisy, spec, "lowrank-factorize")[0])
+    left, right, _ = _METHODS["lowrank-factorize"].operands(noisy, _advance(noisy, spec, "lowrank-factorize")[0])
     held = WarmStart(warm.directions)
     assert estimated_approximation_residuals(noisy, left, right, seed=43, warm=held) == (
         estimated_approximation_residuals(noisy, left, right, seed=43)

@@ -156,7 +156,7 @@ class TestCorePath:
 
 
 class TestLowRank:
-    """Each method's ``low_rank`` pair is the textbook approximation of its library factors."""
+    """Each method's residual operands are the textbook approximation of its library factors."""
 
     @pytest.mark.parametrize("method", list(power._METHODS))
     def test_product_is_the_textbook_approximation(self, method):
@@ -171,7 +171,8 @@ class TestLowRank:
         else:
             spec = power._method_spec(method, spec, 50)
             factors = vars(lowrank_factorize(a, spec))
-        left, right = power._METHODS[method].low_rank(a, factors)
+        left, right, basis_dev = power._METHODS[method].operands(a, factors)
+        assert (basis_dev is not None) == ("Q" in factors)
         if "Q" in factors:
             expected = factors["Q"] @ (factors["Q"].T @ a)
         elif "Y" in factors:
@@ -225,7 +226,7 @@ class TestEveryStepStabilized:
             spec = RangeFinderSpec(k=10, l=50, r1=50, r2=20, q=q, eps=0.5, seed=1)
             factors = power._advance(a, spec, method)[0]
             assert all(np.isfinite(f).all() for f in factors.values())
-            left, right = entry.low_rank(a, factors)
+            left, right, _ = entry.operands(a, factors)
             assert left.shape[1] == 20
             errs[q] = relative_error(approximation_residuals(a, left, right)[0], profile, 10)
         assert abs(errs[200] - errs[60]) <= 0.01
