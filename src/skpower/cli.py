@@ -87,11 +87,11 @@ def _derive_parameters(args, m: int, n: int, entry):
         return r1, args.r2, args.q, (s if s is not None else 1)
     if args.l is None:
         raise ValueError("either --l (with --eps) or all of --r1/--r2/--q are required")
-    r1_sized = sketching.sketch_size(args.sketch, args.l, args.eps, args.delta, args.c, n=n)
+    if r1 is None:
+        r1 = min(sketching.sketch_size(args.sketch, args.l, args.eps, args.delta, args.c, n=n), n)
     if s is None:  # a CountSketch takes the per-row fill of its sizing rule, other sketches 1
         countsketch = args.sketch == "countsketch"
         s = sketching.countsketch_size(args.l, args.eps, args.delta, args.c)[1] if countsketch else 1
-    r1 = r1 if r1 is not None else min(r1_sized, n)
     r2 = args.r2 if args.r2 is not None else 2 * args.k
     m_hat = min(m, r1 if entry.sketched else n)  # a classical baseline powers all n columns
     q = args.q if args.q is not None else power.choose_q(args.eps, m_hat)

@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import _cholesky_qr2, _deviation, _projection, as_matrix, frobenius_norm
+from .linalg import _cholesky_qr2, _default_rel_tol, _deviation, _projection, as_matrix, frobenius_norm
 from .power import choose_q
 from .sketching import SketchOperator, _rng
 
@@ -589,7 +589,7 @@ def powered_tail_report(
     if not 0.0 < eps <= 0.5:
         raise ValueError(f"eps must be in (0, 1/2], got {eps}")
     vals = sketched_profile.values
-    cutoff = vals[0] * max(sketched_profile.shape) * np.finfo(np.float64).eps
+    cutoff = _default_rel_tol(sketched_profile.shape) * vals[0]  # linalg's numerical-rank rule
     rank = int(np.count_nonzero(vals > cutoff))
     q_min = choose_q(eps, max(rank, 1))
     if q < q_min:

@@ -52,7 +52,7 @@ import numpy as np
 from . import linalg
 from .linalg import as_matrix, orthonormal_projection, orthonormalize, pinv, span_basis, thin_svd, SvdResult
 from .linalg import psd_eigenvalues as _check_psd  # a power binding, for wrappers installed on it
-from .sketching import SketchOperator, check_sketch, make_sketch, substream
+from .sketching import SketchOperator, _gaussian_block, check_sketch, make_sketch, substream
 
 
 def choose_q(eps: float, m_hat: int) -> int:
@@ -82,10 +82,10 @@ class RangeFinderSpec:
     every q is stable; ``stabilized`` must stay True (``validate`` rejects
     False).
 
-    ``s2_kind``/``s2_r`` configure the secondary regression sketch used by
-    :func:`lowrank_factorize` (default: same family and size as the primary
-    sketch).  The start block is always Gaussian, the case the theory
-    covers.
+    The secondary regression sketch S2 of :func:`lowrank_factorize` has the
+    family ``sketch_kind`` and size ``r1`` of this spec, also for a classical
+    baseline, whose primary sketch is the identity (see :func:`_sketch_shapes`).
+    The start block is always Gaussian, the case the theory covers.
     """
 
     k: int
@@ -98,8 +98,6 @@ class RangeFinderSpec:
     seed: int = 0
     stabilized: bool = True
     s: int = 1
-    s2_kind: str | None = None
-    s2_r: int | None = None
 
     def validate(self, m: int, n: int) -> None:
         if not 1 <= self.k <= self.l <= min(m, n):
@@ -164,10 +162,6 @@ def power_iterate(atil, omega, q: int) -> np.ndarray:
     return y
 
 
-def _draw_omega(rows: int, cols: int, seed: int) -> np.ndarray:
-    return make_sketch("gaussian", rows, cols, seed).densify()
-
-
 @dataclass
 class _Iterate:
     """The engine's state after ``q`` steps: everything an assembly reads."""
@@ -205,26 +199,29 @@ def _checked(a, methods) -> tuple[np.ndarray, np.ndarray | None]:
 def _iterates(a: np.ndarray, spec: RangeFinderSpec, method: str):
     """:func:`_steps` of ``method`` on a checked ``a``.
 
-    The spec it runs, ``state.spec``, and the sketches it builds are validated now, before any work.
+    The spec it runs, ``state.spec`` (the caller's with the primary sketch's kind and size), and the
+    sketches it builds are validated now, before any work.
     """
-    spec = _method_spec(method, spec, a.shape[1])
-    spec.validate(*a.shape)
     entry = _METHODS[method]
-    for kind, n, r in _sketch_shapes(a.shape, spec, entry):
+    shapes = _sketch_shapes(a.shape, spec, entry)
+    spec = replace(spec, sketch_kind=shapes[0][0], r1=shapes[0][2])
+    spec.validate(*a.shape)
+    for kind, n, r in shapes:
         check_sketch(kind, n, r, spec.s)
-    return _steps(a, spec, entry)
+    return _steps(a, spec, entry, shapes)
 
 
 def _sketch_shapes(shape, spec: RangeFinderSpec, entry: _Method) -> list[tuple[str, int, int]]:
-    """``(kind, n, r)`` of the primary sketch and, for a regression, of the secondary one."""
+    """``(kind, n, r)`` of the primary sketch, the identity for a classical baseline, and for a
+    regression of S2, which keeps the caller's family and size."""
     m, n = shape
-    shapes = [(spec.sketch_kind, n, spec.r1)]
+    shapes = [(spec.sketch_kind, n, spec.r1) if entry.sketched else ("identity", n, n)]
     if entry.regression:
-        shapes.append((spec.s2_kind or spec.sketch_kind, m, spec.s2_r or spec.r1))
+        shapes.append((spec.sketch_kind, m, spec.r1))
     return shapes
 
 
-def _steps(a: np.ndarray, spec: RangeFinderSpec, entry: _Method):
+def _steps(a: np.ndarray, spec: RangeFinderSpec, entry: _Method, shapes: list[tuple[str, int, int]]):
     """Yield the state after ``spec.q``, ``spec.q + 1``, ... steps.
 
     A compressing primary sketch (``r1 < n``) is powered on its r1 x r1
@@ -243,7 +240,7 @@ def _steps(a: np.ndarray, spec: RangeFinderSpec, entry: _Method):
     state is updated in place.
     """
     n = a.shape[1]
-    primary, *secondary = _sketch_shapes(a.shape, spec, entry)
+    primary, *secondary = shapes
     t0 = time.perf_counter()
     s2 = s2a = None
     if secondary:  # first, while the least else is alive: a lower peak memory
@@ -256,7 +253,7 @@ def _steps(a: np.ndarray, spec: RangeFinderSpec, entry: _Method):
         wtil = sketch.apply_left_transpose(state.atil)
         state.core = (wtil + wtil.T) / 2.0  # kill rounding asymmetry before powering
     t_sketch = time.perf_counter()
-    omega = _draw_omega(spec.r1, spec.r2, substream(spec.seed, 1))
+    omega = _gaussian_block(spec.r1, spec.r2, substream(spec.seed, 1))
     if entry.core or spec.r1 < n:
         state.z = omega
     else:
@@ -335,23 +332,6 @@ _METHODS = {
     ),
     "nystrom": _Method(_contraction, "contract", _nystrom_product, core=True),
 }
-
-
-def _method_spec(method: str, spec: RangeFinderSpec, n: int) -> RangeFinderSpec:
-    """The spec ``method`` runs: a classical baseline powers A itself.
-
-    Its primary sketch is the identity (r1 = n); the regression keeps the
-    sketch family and size of ``spec`` for S2.
-    """
-    if _METHODS[method].sketched:
-        return spec
-    return replace(
-        spec,
-        sketch_kind="identity",
-        r1=n,
-        s2_kind=spec.s2_kind or spec.sketch_kind,
-        s2_r=spec.s2_r or spec.r1,
-    )
 
 
 def _advance(

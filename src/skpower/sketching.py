@@ -77,6 +77,11 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=[int(seed) & _MASK64]))
 
 
+def _gaussian_block(rows: int, cols: int, seed: int) -> np.ndarray:
+    """i.i.d. N(0, 1/cols) entries: the Gaussian operator's matrix, and the power method's start block."""
+    return _rng(seed).standard_normal((rows, cols)) / math.sqrt(cols)
+
+
 def _next_pow2(n: int) -> int:
     return 1 << (int(n) - 1).bit_length()
 
@@ -133,7 +138,8 @@ class SketchOperator:
     Construct with :func:`make_sketch`.  ``apply_right(A)`` computes
     ``A @ S`` and ``apply_left_transpose(A)`` computes ``S.T @ A`` through
     the family's fast path; ``densify()`` returns the explicit n-by-r
-    matrix (the oracle the fast paths are tested against).
+    matrix, the oracle the fast paths are tested against (no program code
+    materializes a sketch through it).
     """
 
     def __init__(self, kind: str, n: int, r: int, seed: int, s: int | None = None):
@@ -171,7 +177,7 @@ class SketchOperator:
                 for l in np.unique(lt)
             ]
         elif kind == "gaussian":
-            self._dense = rng.standard_normal((n, r)) / math.sqrt(r)
+            self._dense = _gaussian_block(n, r, self.seed)
         elif kind == "sign":
             self._dense = (rng.integers(0, 2, size=(n, r)).astype(np.float64) * 2.0 - 1.0)
             self._dense /= math.sqrt(r)
@@ -260,7 +266,7 @@ class SketchOperator:
             out[kept] = h @ u[:, lt]
 
     def densify(self) -> np.ndarray:
-        """Explicit n-by-r matrix equal to this operator (test oracle)."""
+        """Explicit n-by-r matrix equal to this operator: the tests' oracle, capped at desk scale."""
         if self.n * self.r > _DENSIFY_CAP:
             raise ValueError(
                 f"densify cap exceeded: {self.n} x {self.r} > {_DENSIFY_CAP} entries"

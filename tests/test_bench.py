@@ -204,17 +204,14 @@ class TestRun:
 
 def _library_factors(a, method, k, l, q, seed):
     """The library's Q, or dense approximation, for a series of ``small_config``'s sketch."""
-    n = a.shape[1]
     spec = RangeFinderSpec(k=k, l=l, r1=l, r2=k, q=q, eps=0.5, sketch_kind="countsketch", seed=seed, s=1)
     if method == "classical-randsvd":
         return range_finder_classical(a, k, k, q, seed)
     if method == "sketched-randsvd":
         return range_finder_sketched(a, spec)
-    if method == "lowrank-factorize-unsketched":
-        spec = RangeFinderSpec(
-            k=k, l=l, r1=n, r2=k, q=q, eps=0.5, sketch_kind="identity", seed=seed, s=1,
-            s2_kind="countsketch", s2_r=l,
-        )
+    if method == "lowrank-factorize-unsketched":  # no public function: the engine's own run to q
+        factors = power_mod._advance(a, spec, method)[0]
+        return factors["Y"] @ factors["X"]
     if method == "nystrom":
         res = nystrom_psd(a, spec)
         return res.C @ (pinv(res.W) @ res.C.T)
@@ -312,7 +309,7 @@ def test_bench_builds_no_sketch_start_block_or_basis():
     # sketches, start blocks and stabilization live in power.py only; bench
     # steps the engine and evaluates errors.  Neither bench nor the cli derives
     # a method's spec or checks its input: the engine's start does both.
-    start = {"_method_spec", "_check_psd"}
+    start = {"_sketch_shapes", "_gaussian_block", "_check_psd"}
     banned = {
         "bench.py": {"make_sketch", "orthonormalize", "apply_right", "apply_left_transpose", "densify"} | start,
         "cli.py": start,
@@ -368,13 +365,15 @@ def test_series_spec_rejected_before_the_profile_and_the_csv(tmp_path, monkeypat
 
 
 def test_secondary_sketch_checked_before_any_work():
-    # lowrank-factorize's S2 maps m = 60 rows; an SRHT with s2_r above the
-    # padded 64 fails at the engine's start, before any sketch is applied
-    a = load_matrix("polydecay:60x40:seed=1")
-    spec = RangeFinderSpec(k=4, l=8, r1=8, r2=4, q=0, eps=0.5, sketch_kind="srht", s2_r=65)
+    # lowrank-factorize's S2 maps m = 40 rows: an SRHT of r1 = 65 fits the
+    # primary's padded 128 columns but not S2's padded 64, and fails at the
+    # engine's start, before any sketch is applied
+    a = load_matrix("polydecay:40x100:seed=1")
+    spec = RangeFinderSpec(k=4, l=8, r1=65, r2=4, q=0, eps=0.5, sketch_kind="srht")
     power_mod._iterates(a, spec, "sketched-randsvd")  # builds no S2
-    with pytest.raises(ValueError, match="srht needs r <= padded dimension 64"):
-        power_mod._iterates(a, spec, "lowrank-factorize")
+    for method in ("lowrank-factorize", "lowrank-factorize-unsketched"):
+        with pytest.raises(ValueError, match="srht needs r <= padded dimension 64"):
+            power_mod._iterates(a, spec, method)
 
 
 def _one_record(tmp_path, dataset, method):

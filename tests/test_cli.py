@@ -259,6 +259,16 @@ class TestRun:
         u = read_binary(prefix + ".U.skpw")
         np.testing.assert_allclose(u @ (u.T @ a), q_basis @ (q_basis.T @ a), atol=1e-10)
 
+    def test_classical_randsvd_sizes_no_identity_sketch(self, capsys):
+        # a method that applies no sketch takes r1 = n, and the identity has no sizing rule to ask
+        code, out, _ = run_cli(
+            capsys, "run", "--data", "polydecay:60x40:seed=1", "--method", "classical-randsvd",
+            "--sketch", "identity", "--k", "4", "--l", "8",
+        )
+        assert code == 0
+        values = parse_kv(out)
+        assert (values["sketch"], values["r1"]) == ("identity", "40")
+
     @pytest.mark.parametrize(
         "method, assembly",
         [

@@ -13,7 +13,7 @@ from conftest import (
     random_lowrank,
     random_psd,
 )
-from skpower import power
+from skpower import power, sketching
 from skpower.data_io import gen_polydecay
 from skpower.diagnostics import (
     SpectralProfile,
@@ -143,16 +143,36 @@ class TestCorePath:
             list(islice(power._iterates(a, replace(spec, q=0), method), 4))
 
     def test_identity_sketch_keeps_textbook_pair(self):
+        # the unsketched regression powers A itself (r1 = n = 40) whatever the caller's r1, and
+        # takes S2 from the caller's Gaussian family and r1 = 20
         a = gen_polydecay(60, 40, seed=35)
         omega = make_sketch("gaussian", 40, 8, substream(36, 1)).densify()
-        spec = RangeFinderSpec(
-            k=4, l=10, r1=40, r2=8, q=3, eps=0.5, sketch_kind="identity", seed=36, s2_kind="gaussian",
-        )
+        spec = RangeFinderSpec(k=4, l=10, r1=20, r2=8, q=3, eps=0.5, sketch_kind="gaussian", seed=36)
         expected = power_iterate(a, omega, 3)
         np.testing.assert_array_equal(range_finder_classical(a, 4, 8, 3, seed=36), orthonormalize(expected))
-        np.testing.assert_array_equal(lowrank_factorize(a, spec).Y, expected)
+        factors, _, spec_run, _ = power._advance(a, spec, "lowrank-factorize-unsketched")
+        np.testing.assert_array_equal(factors["Y"], expected)
+        assert (spec_run.sketch_kind, spec_run.r1) == ("identity", 40)
         for state in islice(power._iterates(a, replace(spec, q=0), "lowrank-factorize-unsketched"), 4):
             np.testing.assert_array_equal(state.y, power_iterate(a, omega, state.q))
+            assert state.s2.kind == "gaussian" and (state.s2.n, state.s2.r) == (60, 20)
+
+
+class TestStartBlock:
+    """The engine draws its Gaussian start block itself: no operator, no copy through ``densify``."""
+
+    def test_no_densify_cap_and_the_oracle_block(self, monkeypatch):
+        a = random_psd(60, seed=41)
+        spec = RangeFinderSpec(k=4, l=8, r1=20, r2=8, q=1, eps=0.5, sketch_kind="gaussian", seed=42)
+        omega = make_sketch("gaussian", 20, 8, substream(42, 1)).densify()
+        monkeypatch.setattr(sketching, "_DENSIFY_CAP", 100)  # below r1 * r2 = 160, and n * r2 = 480
+        range_finder_classical(a, 4, 8, 1, seed=42)
+        range_finder_sketched(a, spec)
+        lowrank_factorize(a, spec)
+        nystrom_psd(a, spec)
+        for method in ("sketched-randsvd", "lowrank-factorize", "nystrom"):
+            state = next(power._iterates(a, replace(spec, q=0), method))
+            assert np.array_equal(state.z, omega), method  # the start block itself at q = 0 on the core
 
 
 class TestLowRank:
@@ -168,9 +188,10 @@ class TestLowRank:
             factors = {"Q": range_finder_sketched(a, spec)}
         elif method == "nystrom":
             factors = vars(nystrom_psd(a, spec))
-        else:
-            spec = power._method_spec(method, spec, 50)
+        elif method == "lowrank-factorize":
             factors = vars(lowrank_factorize(a, spec))
+        else:  # no public function: the engine's own run to q
+            factors = power._advance(a, spec, method)[0]
         left, right, basis_dev = power._METHODS[method].operands(a, factors)
         assert (basis_dev is not None) == ("Q" in factors)
         if "Q" in factors:
@@ -370,11 +391,9 @@ class TestRandsvd:
 
 class TestLowrankFactorize:
     def test_identity_s2_is_exact_projection(self):
-        a = gen_polydecay(50, 40, seed=15)
-        spec = RangeFinderSpec(
-            k=5, l=8, r1=20, r2=10, q=1, eps=0.5, sketch_kind="gaussian", seed=16,
-            s2_kind="identity", s2_r=50,
-        )
+        # on a square input an identity sketch of r1 = n is also the identity S2 on m = n rows
+        a = gen_polydecay(50, 50, seed=15)
+        spec = RangeFinderSpec(k=5, l=8, r1=50, r2=10, q=1, eps=0.5, sketch_kind="identity", seed=16)
         result = lowrank_factorize(a, spec)
         yx_resid = np.linalg.norm(a - result.Y @ result.X)
         projector = result.Y @ (pinv(result.Y) @ a)
