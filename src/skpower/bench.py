@@ -17,8 +17,9 @@ stabilization (one CholeskyQR pass, or the full
 orthonormalization when that pass leaves the block too far from
 orthonormal).  On a compressing sketch a step
 is the r1 x r1 core product (the Gram ``(A S)^T (A S)`` formed at the
-first) plus the block ``Y = A S z``; on the identity sketch of a classical
-baseline it is the pair ``A (A^T Y)``.
+first), and the point books one block ``Y = A S z``, as the library does
+at ``spec.q = q`` (the blocks of later points are formed untimed); on the
+identity sketch of a classical baseline a step is the pair ``A (A^T Y)``.
 The secondary regression sketch (built once per series), the
 per-point factorization assembly (orthonormalization / regression / Nystrom
 contraction) and the error evaluation are excluded: the assembly is

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, get_type_hints
 
@@ -369,7 +370,9 @@ def read_records_csv(path) -> list[TrialRecord]:
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
         if header != _RECORD_FIELDS:
-            raise ValueError(f"{path}: bad header {header}, missing {sorted(set(_RECORD_FIELDS) - set(header))}")
+            want, got = Counter(_RECORD_FIELDS), Counter(header)  # a repeated column counts as unexpected
+            fault = f"missing {sorted((want - got).elements())}, unexpected {sorted((got - want).elements())}"
+            raise ValueError(f"{path}: bad header {header}, {fault if want != got else 'columns out of order'}")
         records = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(_RECORD_FIELDS):

@@ -10,12 +10,13 @@ The certifier and the residual norms work on the Gram ``A.T A`` of the
 matrix's smaller side, which only :func:`matrix_gram` forms.  Each residual
 function checks its operands once and does not form the m x n residual: a
 QR factorization of the left factor (CholeskyQR2, Householder where its
-rule rejects the factor) gives its Frobenius norm from three sums of
+one bound rejects the factor) gives its Frobenius norm from three sums of
 squares, and its spectral norm from ``A.T A - B.T B + D.T D``, exactly by
 ``eigvalsh`` or estimated to the fixed relative tolerance ``_ESTIMATOR_TOL``.
 Where those differences would cancel beyond that tolerance, the residual is
 formed after all.  Every estimate, :func:`estimate_spectral_norm` included,
-is one run of block Lanczos (:func:`_lanczos`) on a symmetric psd operator
+is one run of block Lanczos (:func:`_lanczos`, the one reader of
+``_ESTIMATOR_TOL`` and ``_KRYLOV_MAX_STEPS``) on a symmetric psd operator
 whose top eigenvalue is the squared norm: ``A.T A - B.T B + D.T D`` on the
 thin form, ``X X.T`` for a matrix X given whole.  A left factor already
 orthonormal to working precision (``max |L.T L - I| <= _BASIS_DEV``, as
@@ -234,7 +235,7 @@ class WarmStart:
     directions: np.ndarray | None = None  # unit rows on the Gram's side, at most _KRYLOV_BLOCK - 1
 
 
-def _lanczos(rows, start: np.ndarray, tol: float, max_iter: int, warm: WarmStart | None = None) -> float:
+def _lanczos(rows, start: np.ndarray, warm: WarmStart | None = None) -> float:
     """Square root of the largest eigenvalue of a symmetric psd operator M by block Lanczos iteration.
 
     Golub & Underwood (1977), fully reorthogonalized: ``rows(q)`` is
@@ -248,7 +249,7 @@ def _lanczos(rows, start: np.ndarray, tol: float, max_iter: int, warm: WarmStart
     """
     # the basis is kept as rows, so each reorthogonalization reads a contiguous block
     basis, t, sigma, y = start[:0], np.empty((0, 0)), 0.0, start
-    for _ in range(max_iter):
+    for _ in range(_KRYLOV_MAX_STEPS):
         q = _extend(basis, y)
         if len(q) == 0:
             break
@@ -257,7 +258,7 @@ def _lanczos(rows, start: np.ndarray, tol: float, max_iter: int, warm: WarmStart
         new = y @ basis.T  # the new rows of T, whose transpose is its new columns
         t = np.concatenate((np.concatenate((t, new[:, : len(t)].T), axis=1), new))
         estimate = math.sqrt(max(np.linalg.eigvalsh(t)[-1], 0.0))
-        converged = abs(estimate - sigma) <= tol * estimate
+        converged = abs(estimate - sigma) <= _ESTIMATOR_TOL * estimate
         sigma = estimate
         if converged:
             break
@@ -266,9 +267,7 @@ def _lanczos(rows, start: np.ndarray, tol: float, max_iter: int, warm: WarmStart
     return sigma
 
 
-def estimate_spectral_norm(
-    a, tol: float = _ESTIMATOR_TOL, max_iter: int = _KRYLOV_MAX_STEPS, seed: int = 0
-) -> float:
+def estimate_spectral_norm(a, seed: int = 0) -> float:
     """Spectral norm of ``a`` by block Lanczos iteration on ``a a.T`` (block Krylov).
 
     As analysed by Musco & Musco (NeurIPS 2015): from a seeded Gaussian
@@ -282,29 +281,24 @@ def estimate_spectral_norm(
     vector: from one vector the iteration can settle on sigma_2 for many
     steps when that vector barely meets the top singular vector.
 
-    Stops at the first of: the estimate changes by at most ``tol`` relative
-    between steps; breakdown, where every new direction falls below
-    ``_DEFLATION`` of its block's norm, so the Krylov space is invariant and
-    the estimate exact (at the latest once the basis spans the column space
-    of ``a``); ``max_iter`` steps.  The zero matrix returns 0.0.
-    Deterministic for a fixed seed.  Each step costs one product of ``a``
-    and one of ``a.T`` with a block.  ``tol`` and ``max_iter`` are checked
-    here, the one entry that takes them from a caller.
+    Stops at the first of: the estimate changes by at most
+    ``_ESTIMATOR_TOL`` = 1e-6 relative between steps; breakdown, where every
+    new direction falls below ``_DEFLATION`` of its block's norm, so the
+    Krylov space is invariant and the estimate exact (at the latest once the
+    basis spans the column space of ``a``); ``_KRYLOV_MAX_STEPS`` = 1000
+    steps.  The zero matrix returns 0.0.  Deterministic for a fixed seed.
+    Each step costs one product of ``a`` and one of ``a.T`` with a block.
     """
-    if tol < 0.0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    return _norm_estimate(as_matrix(a, "a"), tol, max_iter, seed)
+    return _norm_estimate(as_matrix(a, "a"), seed)
 
 
-def _norm_estimate(a: np.ndarray, tol: float, max_iter: int, seed: int) -> float:
+def _norm_estimate(a: np.ndarray, seed: int) -> float:
     """:func:`estimate_spectral_norm` of a checked ``a``."""
     # blocks are products with a on the left: at this width ``x @ a.T``
     # takes about twice as long as ``a @ x.T`` with x.T contiguous
     rows = lambda q: (a @ np.ascontiguousarray((q @ a).T)).T
     start = (a @ _rng(seed).standard_normal((a.shape[1], _KRYLOV_BLOCK))).T
-    return _lanczos(rows, start, tol, max_iter)
+    return _lanczos(rows, start)
 
 
 class MatrixGram(NamedTuple):
@@ -442,13 +436,13 @@ def _estimated_residuals(
         if warm is not None:
             warm.directions = None
         resid = _residual(a, left, right)
-        return _norm_estimate(resid, _ESTIMATOR_TOL, _KRYLOV_MAX_STEPS, seed), frobenius_norm(resid)
+        return _norm_estimate(resid, seed), frobenius_norm(resid)
     b, d = thin.b, thin.d
     start = _rng(seed).standard_normal((g.shape[0], _KRYLOV_BLOCK)).T
     if warm is not None and warm.directions is not None:
         start[: len(warm.directions)] = warm.directions
     rows = lambda q: q @ g - (q @ b.T) @ b + (q @ d.T) @ d
-    return _lanczos(rows, start, _ESTIMATOR_TOL, _KRYLOV_MAX_STEPS, warm), thin.frob
+    return _lanczos(rows, start, warm), thin.frob
 
 
 def _projected(a, q_basis) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:

@@ -25,11 +25,12 @@ at the package's default of 2 BLAS threads (2-vCPU Xeon, scipy-openblas
 18 ms (7-9 ms at one thread) against 4-5 ms through the kernel (4-5 ms at
 one thread), ``pinv`` of a 400 x 80 block 6.7 ms (3-4 ms) against 2 ms, and
 a Householder QR of a 4000 x 40 left factor 10-12 ms (6-7 ms) against
-2 ms.  Householder QR and LAPACK's SVD still run where the kernel's
-condition rule rejects the input (rank-deficient or nearly so; the rank
-is then counted from singular values), on square inputs, which have no
-small factor, and in the Krylov estimator's extension of a 4-row block,
-where LAPACK's fixed cost is lower.  ``data_io`` draws its Haar bases by
+2 ms.  Its one condition bound admits only inputs of full numerical rank
+(:func:`_default_rel_tol`).  Householder QR and LAPACK's SVD run where it
+rejects the input (rank-deficient or nearly so; the rank is then counted
+from singular values), on square inputs, which have no small factor, and
+in the Krylov estimator's extension of a 4-row block, where LAPACK's fixed
+cost is lower.  ``data_io`` draws its Haar bases by
 Householder QR on purpose, so every seeded dataset stays the same.
 """
 
@@ -125,33 +126,27 @@ def _default_rel_tol(shape) -> float:
     return max(shape) * np.finfo(np.float64).eps
 
 
-def orthonormalize(y, tol: float | None = None) -> np.ndarray:
+def orthonormalize(y) -> np.ndarray:
     """Orthonormal basis for the range of ``y``.
 
     The basis has exactly the numerical rank of ``y``: the number of
-    singular values at or above ``tol`` times the largest, possibly fewer
-    columns than ``y``.  A well-conditioned ``y`` takes the ``Q`` of
-    :func:`_cholesky_qr2`, run with the condition bound
-    ``min(eps^(-1/2), 1/tol)``; in that range the general path keeps every
-    column, and two passes give orthogonality to working precision.  The
-    general path is a Householder QR ``y = Q R`` followed by an SVD of the
-    small ``R``; the rank is counted from R's singular values and the basis
-    is ``Q`` times R's leading left singular vectors.  Both paths return a
-    basis of the same span.  :func:`span_basis` is its span-only sibling,
-    run between power steps: one pass, with this function as the fallback.
+    singular values at or above ``max(m, c) * eps`` times the largest,
+    possibly fewer columns than ``y``.  A ``y`` that :func:`_cholesky_qr2`
+    accepts has full rank by that rule and takes its ``Q``.  The general
+    path is a Householder QR ``y = Q R`` followed by an SVD of the small
+    ``R``; the rank is counted from R's singular values and the basis is
+    ``Q`` times R's leading left singular vectors.  :func:`span_basis` is
+    its span-only sibling, run between power steps: one pass, with this
+    function as the fallback.
 
     Parameters
     ----------
     y : array_like, shape (m, c)
         Non-empty matrix.  Raises ``ValueError`` if all entries are zero.
-    tol : float, optional
-        Relative singular-value threshold.  Defaults to ``max(m, c) * eps``.
     """
     y = as_matrix(y, "y")
-    if tol is None:
-        tol = _default_rel_tol(y.shape)
-    qr = _cholesky_qr2(y, min(_CHOLQR_MAX_COND, 1.0 / tol))
-    return _qr_svd_basis(y, tol) if qr is None else qr[0]
+    qr = _cholesky_qr2(y)
+    return _qr_svd_basis(y) if qr is None else qr[0]
 
 
 def span_basis(y) -> np.ndarray:
@@ -187,22 +182,22 @@ def _cholesky_qr_pass(y: np.ndarray) -> np.ndarray | None:
     return None if lower is None else y @ np.linalg.inv(lower).T
 
 
-def _cholesky_qr2(y: np.ndarray, max_cond: float = _CHOLQR_MAX_COND) -> tuple[np.ndarray, np.ndarray] | None:
+def _cholesky_qr2(y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """CholeskyQR2 (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, ETNA 2015) of a checked ``y`` (m x c, m >= c).
 
     Returns ``(Q, R)`` with ``y = Q R``, ``Q`` orthonormal to working
     precision and ``R`` c x c, from two passes ``R_i = chol(Q_{i-1}.T Q_{i-1})``,
     ``Q_i = Q_{i-1} R_i^-1``, ``R = R_2 R_1``.  The one acceptance rule: both
     Cholesky factorizations succeed and each factor has
-    ``||R_i||_F ||R_i^-1||_F <= max_cond``, an upper bound on its 2-norm
-    condition number that costs no SVD.  Otherwise it returns None, and the
-    caller falls back to Householder QR or the SVD.  In exact arithmetic
-    the second pass is the identity, so an accepted ``y`` has
-    ``cond(y) <= eps^(-1/2)``: no singular value falls below
-    ``max(m, c) eps sigma_1`` while ``max(m, c) < eps^(-1/2)``.  The passes
-    are GEMMs and c x c factorizations, so a skinny ``y`` runs no
-    Householder panel.
+    ``||R_i||_F ||R_i^-1||_F <= min(eps^(-1/2), 1 / (max(m, c) eps))``, an
+    upper bound on its 2-norm condition number that costs no SVD.
+    Otherwise it returns None, and the caller falls back to Householder QR
+    or the SVD.  In exact arithmetic the second pass is the identity, so an
+    accepted ``y`` has no singular value below ``max(m, c) eps sigma_1``:
+    full rank by the rule of :func:`orthonormalize` and :func:`pinv`.  The
+    passes are GEMMs and c x c factorizations: no Householder panel.
     """
+    max_cond = min(_CHOLQR_MAX_COND, 1.0 / _default_rel_tol(y.shape))
     q, r = y, None
     for _ in range(2):
         lower = _gram_cholesky(q)
@@ -215,13 +210,13 @@ def _cholesky_qr2(y: np.ndarray, max_cond: float = _CHOLQR_MAX_COND) -> tuple[np
     return q, r
 
 
-def _qr_svd_basis(y: np.ndarray, tol: float) -> np.ndarray:
+def _qr_svd_basis(y: np.ndarray) -> np.ndarray:
     """Rank-revealing basis: Householder QR, then the SVD of the small R."""
     q, r = np.linalg.qr(y)
     u, sv, _ = np.linalg.svd(r)
     if sv[0] == 0.0:
         raise ValueError("cannot orthonormalize an all-zero matrix")
-    rank = int(np.count_nonzero(sv >= tol * sv[0]))
+    rank = int(np.count_nonzero(sv >= _default_rel_tol(y.shape) * sv[0]))
     return q @ u[:, :rank]
 
 

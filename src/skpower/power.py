@@ -31,9 +31,9 @@ The public functions advance the engine to ``spec.q`` and assemble; the
 benchmark steps it one iterate at a time, so its ``time_ms`` (the
 ``sketch`` and ``power`` stages: sketch build and apply, start block and
 first product at q = 0, then per step one stabilization and core product,
-the Gram at the first, and the block ``Y = A S z``; the secondary sketch,
-the assembly and the error evaluation excluded) comes from the same code
-and clock that the library runs.
+the Gram at the first; the block ``Y = A S z`` once, as the library forms
+it; the secondary sketch, the assembly and the error evaluation excluded)
+at q is the time the library books at ``spec.q = q``.
 
 Seeds: the primary sketch uses substream 0 of ``spec.seed``, the Gaussian
 start block substream 1, and the secondary regression sketch substream 2,
@@ -234,10 +234,12 @@ def _steps(a: np.ndarray, spec: RangeFinderSpec, entry: _Method, shapes: list[tu
     :func:`power_iterate` from ``atil @ Omega``; its Gram would be n x n.
 
     ``state.elapsed`` is the algorithm time so far: ``sketch`` is the primary
-    sketch build and apply, ``power`` the start-block draw and every step
-    (the first product for the ``A S`` iteration), and ``regression`` the
-    secondary sketch ``S2.T A``, built once, before anything else.  The
-    state is updated in place.
+    sketch build and apply, ``power`` the start-block draw, every step and
+    one block (the pair's first ``atil @ Omega``, or the first yield's
+    ``Y``; later ones are formed off the clock, so the state after q steps
+    books what a run to ``spec.q = q`` books), and ``regression`` the
+    secondary sketch ``S2.T A``, built once, first.  The state is updated
+    in place.
     """
     n = a.shape[1]
     primary, *secondary = shapes
@@ -271,10 +273,10 @@ def _steps(a: np.ndarray, spec: RangeFinderSpec, entry: _Method, shapes: list[tu
         yield state
         t0 = time.perf_counter()
         state.step()
-        if expose:
-            state.y = state.atil @ state.z
         state.elapsed["power"] += time.perf_counter() - t0
         state.q += 1
+        if expose:  # off the clock: the first yield booked the one block a point books
+            state.y = state.atil @ state.z
 
 
 def _basis(state: _Iterate) -> dict[str, np.ndarray]:

@@ -244,6 +244,56 @@ def test_bench_row_factors_equal_library_factors(tmp_path, monkeypatch, method, 
     assert np.array_equal(left if method.endswith("randsvd") else left @ right, expected)
 
 
+class _Clock:
+    """Stands in for the ``time`` module ``power`` reads: it moves only where the test moves it."""
+
+    now = 0.0
+
+    def perf_counter(self):
+        return self.now
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_bench_point_books_the_library_time_at_its_q(tmp_path, monkeypatch, method):
+    # each step moves the engine's clock by 1 and each product with A S by 1000,
+    # so a row's time_ms counts the steps and block products it booked: those
+    # of the library run to the row's q, one block Y = A S z included
+    clock = _Clock()
+    monkeypatch.setattr(power_mod, "time", clock)
+
+    class Ticking(np.ndarray):
+        def __matmul__(self, other):
+            clock.now += 1000.0
+            return np.asarray(self) @ np.asarray(other)
+
+    class TickingSketch:
+        def __init__(self, sketch):
+            self.sketch = sketch
+
+        def __getattr__(self, name):
+            return getattr(self.sketch, name)
+
+        def apply_right(self, a):
+            return self.sketch.apply_right(a).view(Ticking)
+
+    make_sketch, step = power_mod.make_sketch, power_mod._Iterate.step
+
+    def ticking_step(state):
+        clock.now += 1.0
+        step(state)
+
+    monkeypatch.setattr(power_mod, "make_sketch", lambda *args, **kw: TickingSketch(make_sketch(*args, **kw)))
+    monkeypatch.setattr(power_mod._Iterate, "step", ticking_step)
+    path = tmp_path / "psd.skpw"
+    write_binary(psd_polydecay(60, seed=4), path)
+    cfg = small_config(tmp_path, dataset=str(path), methods=[method], k=5, l_values=[15], q_max=3, trials=1)
+    a = load_matrix(cfg.dataset)
+    for rec in run_benchmark(cfg):
+        spec = RangeFinderSpec(k=5, l=15, r1=15, r2=5, q=rec.q_iter, eps=0.5, seed=rec.seed, s=1)
+        elapsed = power_mod._advance(a, spec, method)[1]
+        assert rec.time_ms == 1e3 * (elapsed["sketch"] + elapsed["power"]), rec.q_iter
+
+
 def test_bench_checks_the_matrix_once_per_run(tmp_path, monkeypatch):
     # A is checked as it is loaded and set up, never at an error point: the
     # number of scans of an A-shaped array does not grow with q_max

@@ -235,7 +235,21 @@ class TestRecordsCsv:
         path.write_text(
             "method,dataset,m,n,k,l,r1,r2,s,q_iter,eps,seed,trial,time_ms,spec_err,frob_err,rel_err\n"
         )
-        with pytest.raises(ValueError, match=r"missing \['sketch_kind'\]"):
+        with pytest.raises(ValueError, match=r"missing \['sketch_kind'\], unexpected \[\]"):
+            read_records_csv(path)
+
+    def test_header_with_an_extra_column_names_it(self, tmp_path):
+        path = tmp_path / "extra.csv"
+        write_records_csv([], path)
+        path.write_text(path.read_text().strip() + ",extra\n")
+        with pytest.raises(ValueError, match=r"missing \[\], unexpected \['extra'\]"):
+            read_records_csv(path)
+
+    def test_reordered_header_says_so(self, tmp_path):
+        path = tmp_path / "swapped.csv"
+        write_records_csv([], path)
+        path.write_text(path.read_text().replace("method,dataset,", "dataset,method,", 1))
+        with pytest.raises(ValueError, match=r"\['dataset', 'method', .*\], columns out of order"):
             read_records_csv(path)
 
     def test_round_trip_lossless(self, tmp_path):

@@ -326,7 +326,7 @@ class TestEstimatedResiduals:
     def test_estimator_matches_svd(self):
         a = gen_polydecay(150, 90, seed=13)
         exact = sla.svdvals(a)[0]
-        est = estimate_spectral_norm(a, tol=1e-6, seed=1)
+        est = estimate_spectral_norm(a, seed=1)
         assert abs(est - exact) <= 1e-6 * exact
 
     def test_estimated_residuals_match_exact(self):
@@ -587,22 +587,24 @@ class TestSpectralNormEstimator:
         a = (u * np.concatenate(([1.0, 0.98], 0.9 / np.arange(1.0, 39.0)))) @ v.T
         assert abs(estimate_spectral_norm(a, seed=seed) - 1.0) <= 1e-6
 
-    def test_never_above_exact(self):
+    def test_never_above_exact(self, monkeypatch):
         for seed in range(4):
             a = gen_polydecay(90, 70, seed=20 + seed)
             resid = a - np.outer(a[:, 0], a[0]) / a[0, 0]
             for m in (a, resid, a.T):
                 exact = sla.svdvals(m)[0]
-                for max_iter in (1, 2, 5, 1000):
-                    est = estimate_spectral_norm(m, max_iter=max_iter, seed=seed)
+                for max_steps in (1, 2, 5, 1000):
+                    monkeypatch.setattr(diag_mod, "_KRYLOV_MAX_STEPS", max_steps)
+                    est = estimate_spectral_norm(m, seed=seed)
                     assert est <= exact * (1.0 + 1e-12)
 
-    def test_bases_stay_orthonormal(self, extensions):
+    def test_bases_stay_orthonormal(self, extensions, monkeypatch):
         # an isolated small value converges early, after which a Krylov
         # basis built without reorthogonalization loses orthogonality
         sigma = np.concatenate((np.linspace(1.0, 0.9, 60), [1e-3] * 3))
         a = rotated(200, 150, sigma, seed=19)
-        est = estimate_spectral_norm(a, tol=1e-10, seed=1)
+        monkeypatch.setattr(diag_mod, "_ESTIMATOR_TOL", 1e-10)
+        est = estimate_spectral_norm(a, seed=1)
         assert abs(est - 1.0) <= 1e-9
         assert len(extensions) > 5
         for basis, rows in extensions:
@@ -612,11 +614,12 @@ class TestSpectralNormEstimator:
     def test_zero_matrix(self):
         assert estimate_spectral_norm(np.zeros((7, 5))) == 0.0
 
-    def test_exact_rank_stops_on_breakdown(self, extensions):
+    def test_exact_rank_stops_on_breakdown(self, extensions, monkeypatch):
         # tol = 0 stops only on an exactly repeated value; the Krylov space
         # of a rank-2 matrix is the column space, found by the first block
         a = rotated(60, 40, [3.0, 1.0], seed=21)
-        est = estimate_spectral_norm(a, tol=0.0, seed=4)
+        monkeypatch.setattr(diag_mod, "_ESTIMATOR_TOL", 0.0)
+        est = estimate_spectral_norm(a, seed=4)
         assert [len(rows) for _, rows in extensions] == [2, 0]
         assert abs(est - 3.0) <= 1e-12 * 3.0
 
@@ -626,19 +629,19 @@ class TestSpectralNormEstimator:
             est = estimate_spectral_norm(a, seed=5)
             assert abs(est - np.linalg.norm(x)) <= 1e-14 * np.linalg.norm(x)
 
-    def test_max_iter_caps_steps(self, extensions):
+    def test_max_iter_caps_steps(self, extensions, monkeypatch):
         a = gen_polydecay(80, 60, seed=23)
-        estimate_spectral_norm(a, tol=0.0, max_iter=3, seed=6)
+        monkeypatch.setattr(diag_mod, "_ESTIMATOR_TOL", 0.0)
+        monkeypatch.setattr(diag_mod, "_KRYLOV_MAX_STEPS", 3)
+        estimate_spectral_norm(a, seed=6)
         assert len(extensions) == 3
         # one step: the top singular value of Q.T a with Q = orth(a Omega)
         omega = diag_mod._rng(6).standard_normal((60, diag_mod._KRYLOV_BLOCK))
         q, _ = np.linalg.qr(a @ omega)
         one = np.linalg.norm(q.T @ a, 2)
-        assert abs(estimate_spectral_norm(a, max_iter=1, seed=6) - one) <= 1e-13 * one
-        with pytest.raises(ValueError, match="max_iter"):
-            estimate_spectral_norm(a, max_iter=0)
-        with pytest.raises(ValueError, match="tol"):
-            estimate_spectral_norm(a, tol=-1e-6)
+        monkeypatch.setattr(diag_mod, "_ESTIMATOR_TOL", 1e-6)
+        monkeypatch.setattr(diag_mod, "_KRYLOV_MAX_STEPS", 1)
+        assert abs(estimate_spectral_norm(a, seed=6) - one) <= 1e-13 * one
 
     def test_rejects_non_finite(self):
         a = np.ones((4, 3))

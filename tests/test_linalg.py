@@ -42,11 +42,11 @@ class TestOrthonormalize:
 
     def test_residual_within_tolerance(self):
         rng = np.random.default_rng(3)
-        # rank-4 matrix plus noise below the requested tolerance
+        # rank-4 matrix plus noise below the numerical-rank rule max(m, c) eps
         y = rng.standard_normal((30, 4)) @ rng.standard_normal((4, 8))
-        y = y + 1e-12 * rng.standard_normal((30, 8))
-        tol = 1e-8
-        q = orthonormalize(y, tol=tol)
+        y = y + 1e-17 * rng.standard_normal((30, 8))
+        tol = linalg._default_rel_tol(y.shape)
+        q = orthonormalize(y)
         assert q.shape[1] == 4
         resid = np.linalg.norm(y - q @ (q.T @ y))
         assert resid <= tol * np.linalg.norm(y)
@@ -79,9 +79,9 @@ def fallback_calls(monkeypatch):
     calls = []
     qr_svd = linalg._qr_svd_basis
 
-    def spy(y, tol):
+    def spy(y):
         calls.append(y.shape)
-        return qr_svd(y, tol)
+        return qr_svd(y)
 
     monkeypatch.setattr(linalg, "_qr_svd_basis", spy)
     return calls
@@ -98,21 +98,18 @@ class TestOrthonormalizePaths:
         np.testing.assert_allclose(q @ q.T, u @ u.T, atol=1e-11)
 
     @pytest.mark.parametrize(
-        "singular_values, tol, rank",
+        "singular_values, rank",
         [
-            (np.logspace(0, -10, 30), None, 30),  # cond 1e10
-            (np.r_[np.logspace(0, -2, 22), np.zeros(8)], None, 22),  # exactly rank 22
-            (np.r_[np.logspace(0, -3, 24), np.full(6, 1e-7)], 1e-6, 24),  # cond 1e7 > 1/tol
+            (np.logspace(0, -10, 30), 30),  # cond 1e10
+            (np.r_[np.logspace(0, -2, 22), np.zeros(8)], 22),  # exactly rank 22
         ],
-        ids=["cond-1e10", "rank-deficient", "tol-1e-6"],
+        ids=["cond-1e10", "rank-deficient"],
     )
-    def test_ill_conditioned_block_falls_back_to_qr_svd(
-        self, fallback_calls, singular_values, tol, rank
-    ):
+    def test_ill_conditioned_block_falls_back_to_qr_svd(self, fallback_calls, singular_values, rank):
         y = _block(200, singular_values, seed=13)
-        q = orthonormalize(y, tol=tol)
+        q = orthonormalize(y)
         assert len(fallback_calls) == 1
-        reference = linalg._qr_svd_basis(y, tol or linalg._default_rel_tol(y.shape))
+        reference = linalg._qr_svd_basis(y)
         assert q.shape == reference.shape == (200, rank)
         assert np.abs(q.T @ q - np.eye(rank)).max() <= 1e-12
         np.testing.assert_allclose(q @ q.T, reference @ reference.T, atol=1e-12)
@@ -345,6 +342,15 @@ class TestCholeskyQr2Kernel:
         assert linalg._cholesky_qr2(y) is None
         assert linalg._cholesky_qr2(np.ones((3, 5))) is None
         assert linalg._cholesky_qr2(np.zeros((6, 2))) is None
+
+    def test_pinv_and_orthonormalize_follow_one_rank_rule(self, monkeypatch):
+        # 1e-5 is the rule max(m, n) eps of a matrix with about 4.5e10 rows, where
+        # 1 / rule falls below eps^(-1/2): the kernel's bound must follow the rule
+        monkeypatch.setattr(linalg, "_default_rel_tol", lambda shape: 1e-5)
+        y = _block(300, np.logspace(0, -6, 20), seed=53)
+        assert orthonormalize(y).shape == (300, 16)
+        assert np.linalg.norm(pinv(y), 2) <= 1e5
+        assert np.linalg.norm(pinv(y.T), 2) <= 1e5
 
     def test_near_rank_deficient_sweep(self, lapack_calls):
         # rank r < min(m, n) plus Gaussian noise of norm about 1e-16 .. 1e-4:

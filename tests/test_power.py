@@ -209,9 +209,9 @@ class TestInLoopStabilizer:
     def test_final_basis_is_the_only_orthonormalize(self, monkeypatch):
         shapes = []
 
-        def spy(y, tol=None):
+        def spy(y):
             shapes.append(y.shape)
-            return orthonormalize(y, tol)
+            return orthonormalize(y)
 
         monkeypatch.setattr(power, "orthonormalize", spy)
         a = gen_polydecay(600, 300, seed=39)
