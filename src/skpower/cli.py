@@ -99,7 +99,9 @@ def _derive_parameters(args, m: int, n: int, entry):
 
 
 def _cmd_run(args) -> int:
+    t0 = time.perf_counter()
     a = data_io.load_matrix(args.data)
+    t_load = time.perf_counter() - t0
     m, n = a.shape
     entry = power._METHODS[args.method]
     r1, r2, q, s = _derive_parameters(args, m, n, entry)
@@ -115,10 +117,13 @@ def _cmd_run(args) -> int:
         s=s,
     )
     # first: a rejected input costs no SVD, and a psd one is decomposed by its check alone
-    saved, stage, spec, eigenvalues = power._advance(a, spec, args.method)
+    saved, engine, spec, eigenvalues = power._advance(a, spec, args.method)
+    t0 = time.perf_counter()
     profile = diagnostics.SpectralProfile.from_matrix(a, eigenvalues)
+    t_profile = time.perf_counter()
     left, right, basis_dev = entry.operands(a, saved)  # the residual A - L R judged, as in bench
     spec_err, frob_err = diagnostics._exact_residuals(a, left, right, basis_dev)
+    stage = {"load": t_load, **engine, "profile": t_profile - t0, "error": time.perf_counter() - t_profile}
     if basis_dev is not None:  # a basis Q: its randomized SVD is reported, from the residual's R = Q^T A
         t0 = time.perf_counter()
         u, sigma, v = power._svd_assembly(left, right)

@@ -11,10 +11,12 @@ runtime as every ``@`` product.  No module of the package uses scipy's dense
 linear algebra: scipy links its own OpenBLAS, whose idle threads keep
 spinning after each call and take the cores away from numpy's pool, which
 stalls a loop that alternates the two (a power pair and its stabilization
-QR).  scipy is used only for the sparse matrix containers (``scipy.sparse``):
-``scipy.special`` and scipy's dense and sparse linear algebra would map its
-OpenBLAS into the process on import.  Rank
-handling follows the conventions documented on each function.
+QR).  scipy is used only for the sparse matrix containers (``scipy.sparse``)
+of the CountSketch, and imported by its first check
+(:func:`skpower.sketching.check_sketch`), so ``import skpower`` loads no
+scipy module: ``scipy.special`` and scipy's dense and sparse linear algebra
+would map its OpenBLAS into the process on import.  Rank handling follows
+the conventions documented on each function.
 
 Skinny factorizations (``orthonormalize``, ``thin_svd`` and ``pinv`` of a
 non-square input, and the residual QR of :mod:`skpower.diagnostics`) run one

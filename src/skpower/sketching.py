@@ -13,7 +13,11 @@ mapping an ``n``-dimensional coordinate space down to ``r`` dimensions:
     O(nnz(A) * s) and never materializes a dense n-by-r matrix.  Both
     applies run scipy's sparse kernel; ``A @ S`` runs it on 256-row blocks
     of A, each transposed in cache, which gives scipy's ``A @ S`` bit for
-    bit without its transposed copy of all of A.
+    bit without its transposed copy of all of A.  It is the only family
+    that needs scipy: the first CountSketch :func:`check_sketch` imports
+    ``scipy.sparse``, so ``import skpower`` does not, a process that builds
+    no CountSketch never loads it, and a caller that checks its sketches
+    before it starts a clock (the engine does) times no import.
 ``srht``
     subsampled randomized Hadamard transform (1/sqrt(r)) * D * H * I[:, T]
     with a random sign diagonal D, an unnormalized Hadamard matrix H of the
@@ -49,9 +53,10 @@ import functools
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 from .linalg import as_matrix
+
+sp = None  # scipy.sparse, imported by the first CountSketch check_sketch
 
 SKETCH_KINDS = ("gaussian", "sign", "countsketch", "srht", "identity")
 
@@ -117,15 +122,20 @@ def check_sketch(kind: str, n: int, r: int, s: int | None = None) -> None:
     The one home of the construction rules, so that a caller can check a
     sketch before any work: a known kind, ``n, r >= 1``, CountSketch
     ``1 <= s <= r`` (s defaults to 1), SRHT ``r`` at most the padded ``n``,
-    and identity ``r == n``.
+    and identity ``r == n``.  A CountSketch check also imports
+    ``scipy.sparse``, which its operator is built on, so that a missing scipy
+    fails here and the import is never inside a timed stage.
     """
+    global sp
     _check_kind(kind)
     if r < 1:
         raise ValueError(f"sketch dimension r must be >= 1, got {r}")
     if n < 1:
         raise ValueError(f"input dimension n must be >= 1, got {n}")
-    if kind == "countsketch" and not 1 <= (1 if s is None else s) <= r:
-        raise ValueError(f"countsketch needs 1 <= s <= r, got s={s}, r={r}")
+    if kind == "countsketch":
+        if not 1 <= (1 if s is None else s) <= r:
+            raise ValueError(f"countsketch needs 1 <= s <= r, got s={s}, r={r}")
+        import scipy.sparse as sp  # the package's one scipy import
     if kind == "srht" and r > _next_pow2(n):
         raise ValueError(f"srht needs r <= padded dimension {_next_pow2(n)}, got r={r}")
     if kind == "identity" and r != n:
@@ -339,6 +349,7 @@ def sketch_size(
     * gaussian / sign: ceil(c*(k + ln(1/delta))/eps^2)
     * countsketch: the r of :func:`countsketch_size`
     * srht: ceil(c*(k + ln(n/delta))*ln(k/delta)/eps^2); requires ``n``
+    * identity: n, its only valid size; requires ``n``
 
     Same caveat as :func:`countsketch_size`: calibrate ``c`` empirically.
     """
@@ -347,8 +358,10 @@ def sketch_size(
         return math.ceil(c * (k + math.log(1.0 / delta)) / eps**2)
     if kind == "countsketch":
         return countsketch_size(k, eps, delta, c)[0]
+    if kind in ("srht", "identity") and n is None:
+        raise ValueError(f"{kind} sizing needs the input dimension n")
     if kind == "srht":
-        if n is None:
-            raise ValueError("srht sizing needs the input dimension n")
         return math.ceil(c * (k + math.log(n / delta)) * math.log(k / delta) / eps**2)
+    if kind == "identity":
+        return n
     raise ValueError(f"no sizing rule for sketch kind {kind!r}")

@@ -7,6 +7,11 @@ synthetic matrices, and are recorded in the BoundReport params of the
 acceptance runs that use them.
 """
 
+# skpower before numpy: the package maps SKPOWER_THREADS to the BLAS thread
+# variables, which BLAS reads once, when numpy loads it; CI runs part of the
+# suite at SKPOWER_THREADS=1, which numpy imported first would ignore
+import skpower  # noqa: F401
+
 import numpy as np
 
 from skpower.data_io import _haar_columns

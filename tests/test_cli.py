@@ -260,7 +260,7 @@ class TestRun:
         np.testing.assert_allclose(u @ (u.T @ a), q_basis @ (q_basis.T @ a), atol=1e-10)
 
     def test_classical_randsvd_sizes_no_identity_sketch(self, capsys):
-        # a method that applies no sketch takes r1 = n, and the identity has no sizing rule to ask
+        # a method that applies no sketch takes r1 = n without asking a sizing rule
         code, out, _ = run_cli(
             capsys, "run", "--data", "polydecay:60x40:seed=1", "--method", "classical-randsvd",
             "--sketch", "identity", "--k", "4", "--l", "8",
@@ -268,6 +268,31 @@ class TestRun:
         assert code == 0
         values = parse_kv(out)
         assert (values["sketch"], values["r1"]) == ("identity", "40")
+
+    def test_an_identity_sketch_is_sized_at_n(self, capsys):
+        # the identity's only valid size is r1 = n: a sketched method on it powers A itself from the
+        # start block the classical baseline draws, so both report the same errors
+        base = ("run", "--data", "polydecay:60x40:seed=1", "--sketch", "identity", "--k", "4", "--l", "8")
+        printed = {}
+        for method in ("sketched-randsvd", "classical-randsvd"):
+            code, out, _ = run_cli(capsys, *base, "--method", method)
+            assert code == 0
+            printed[method] = parse_kv(out)
+        sketched, classical = printed["sketched-randsvd"], printed["classical-randsvd"]
+        assert (sketched["sketch"], sketched["r1"]) == ("identity", "40")
+        assert [sketched[key] for key in ("spec_err", "frob_err", "rel_err")] == [
+            classical[key] for key in ("spec_err", "frob_err", "rel_err")
+        ]
+
+    def test_an_identity_regression_needs_a_square_input(self, capsys):
+        flags = ("--method", "lowrank-factorize", "--sketch", "identity", "--k", "4", "--l", "8")
+        code, out, _ = run_cli(capsys, "run", "--data", "polydecay:40x40:seed=1", *flags)
+        assert code == 0
+        assert parse_kv(out)["r1"] == "40"
+        # S2 maps the m = 60 rows with the size r1 = n = 40, which no identity has
+        code, _, err = run_cli(capsys, "run", "--data", "polydecay:60x40:seed=1", *flags)
+        assert code == 2
+        assert "identity sketch needs r == n, got n=60, r=40" in err
 
     @pytest.mark.parametrize(
         "method, assembly",
@@ -288,7 +313,10 @@ class TestRun:
         )
         assert code == 0
         stages = {key for key in parse_kv(out) if key.startswith("stage_")}
-        expected = {"stage_sketch_ms", "stage_power_ms", f"stage_{assembly}_ms"}
+        expected = {
+            "stage_load_ms", "stage_sketch_ms", "stage_power_ms", f"stage_{assembly}_ms",
+            "stage_profile_ms", "stage_error_ms",
+        }
         if method.endswith("randsvd"):
             expected.add("stage_svd_assembly_ms")
         assert stages == expected

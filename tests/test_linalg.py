@@ -1,4 +1,5 @@
 import ast
+import os
 import pathlib
 import subprocess
 import sys
@@ -199,14 +200,53 @@ def test_package_does_not_import_scipy_linalg():
 
 def test_importing_the_package_maps_no_scipy_blas_user():
     # scipy.special, like scipy's dense and sparse linear algebra, maps scipy's
-    # own OpenBLAS into the process; only scipy.sparse's containers are used
+    # own OpenBLAS into the process; only scipy.sparse's containers are used, by
+    # CountSketch alone: the import loads no scipy module, and the engine's sketch
+    # check loads scipy.sparse before its first step, outside every clock
     src = pathlib.Path(skpower.__file__).parents[1]
     code = (
-        "import sys, skpower; "
+        "import sys, skpower, numpy as np; from skpower import power\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+        "a = np.random.default_rng(0).standard_normal((30, 20))\n"
+        "spec = power.RangeFinderSpec(k=2, l=4, r1=8, r2=4, q=1, eps=0.5, sketch_kind='countsketch')\n"
+        "states = power._iterates(a, spec, 'sketched-randsvd')\n"
+        "print('scipy.sparse' in sys.modules)\n"
+        "next(states)\n"
         "print(sorted({'scipy.special', 'scipy.linalg', 'scipy.sparse.linalg'} & set(sys.modules)))"
     )
     out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split("\n")[:3] == ["[]", "True", "[]"]
+
+
+_BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+@pytest.mark.parametrize(
+    "code, env, reason",
+    [
+        ("import skpower", {"SKPOWER_THREADS": "1"}, None),
+        ("import skpower", {"SKPOWER_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}, None),
+        ("import numpy, skpower", {}, None),
+        ("import numpy, skpower", {"SKPOWER_THREADS": "1"}, "numpy was imported first"),
+        ("import skpower", {"SKPOWER_THREADS": "1", "OMP_NUM_THREADS": "2"}, "OMP_NUM_THREADS=2 is already set"),
+    ],
+)
+def test_a_thread_cap_that_cannot_apply_warns_once(code, env, reason):
+    # BLAS reads its thread variables when numpy loads it: SKPOWER_THREADS set after
+    # that, or under a BLAS variable that holds another value, would be ignored
+    src = pathlib.Path(skpower.__file__).parents[1]
+    base = {key: value for key, value in os.environ.items()
+            if key not in _BLAS_VARS and key != "SKPOWER_THREADS"}
+    code += "; import os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, env={**base, **env},
+                         capture_output=True, text=True, check=True)
+    warned = [line for line in out.stderr.splitlines() if "RuntimeWarning: " in line]
+    if reason is None:
+        assert warned == []
+    else:
+        assert len(warned) == 1 and reason in warned[0]
+    # the variables it maps: every one not already set takes the cap
+    assert out.stdout.strip() == env.get("OPENBLAS_NUM_THREADS", env.get("SKPOWER_THREADS", "None"))
 
 
 class TestThinSvd:

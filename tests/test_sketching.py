@@ -298,6 +298,11 @@ class TestSketchSize:
         r = sketch_size("srht", 10, 0.5, 0.1, c=1.0, n=1024)
         assert r == math.ceil((10 + math.log(1024 / 0.1)) * math.log(100) / 0.25)
 
+    def test_identity_takes_its_only_size_n(self):
+        with pytest.raises(ValueError, match="identity sizing needs the input dimension n"):
+            sketch_size("identity", 10, 0.5, 0.1)
+        assert sketch_size("identity", 10, 0.5, 0.1, n=37) == 37
+
     def test_parameter_validation(self):
         for bad in [dict(k=0), dict(eps=0.0), dict(eps=1.0), dict(delta=0.0), dict(c=0.0)]:
             kwargs = dict(k=5, eps=0.5, delta=0.1, c=1.0)
