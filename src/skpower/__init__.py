@@ -13,7 +13,8 @@ import warnings as _warnings
 
 # SKPOWER_THREADS caps internal (BLAS) parallelism.  BLAS reads its thread
 # variables once, when numpy loads it, so the mapping lives at the very top
-# of the package, and says so when it comes too late or is overridden.
+# of the package, and says so when it comes too late or a variable it maps
+# to keeps another value.
 _threads = _os.environ.get("SKPOWER_THREADS")
 if _threads:
     _held = [
@@ -21,11 +22,11 @@ if _threads:
         for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
         if _os.environ.setdefault(_var, _threads) != _threads
     ]
-    _why = [f"{_var}={_os.environ[_var]} is already set" for _var in _held]
+    _why = [f"{_var}={_os.environ[_var]} is already set and keeps its value" for _var in _held]
     if "numpy" in _sys.modules:
-        _why.insert(0, "numpy was imported first")
+        _why.insert(0, "numpy was imported first, so BLAS keeps the thread count it read then")
     if _why:
-        _warnings.warn(f"SKPOWER_THREADS={_threads} does not cap BLAS threads: {'; '.join(_why)}", RuntimeWarning)
+        _warnings.warn(f"SKPOWER_THREADS={_threads}: {'; '.join(_why)}", RuntimeWarning)
 
 from . import bench, cli, data_io, diagnostics, linalg, power, sketching
 from .linalg import (

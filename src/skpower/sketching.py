@@ -56,8 +56,6 @@ import numpy as np
 
 from .linalg import as_matrix
 
-sp = None  # scipy.sparse, imported by the first CountSketch check_sketch
-
 SKETCH_KINDS = ("gaussian", "sign", "countsketch", "srht", "identity")
 
 _DENSIFY_CAP = 10**7  # desk-scale guard for explicit n-by-r materialization
@@ -126,7 +124,6 @@ def check_sketch(kind: str, n: int, r: int, s: int | None = None) -> None:
     ``scipy.sparse``, which its operator is built on, so that a missing scipy
     fails here and the import is never inside a timed stage.
     """
-    global sp
     _check_kind(kind)
     if r < 1:
         raise ValueError(f"sketch dimension r must be >= 1, got {r}")
@@ -135,7 +132,7 @@ def check_sketch(kind: str, n: int, r: int, s: int | None = None) -> None:
     if kind == "countsketch":
         if not 1 <= (1 if s is None else s) <= r:
             raise ValueError(f"countsketch needs 1 <= s <= r, got s={s}, r={r}")
-        import scipy.sparse as sp  # the package's one scipy import
+        import scipy.sparse  # the package's one scipy load
     if kind == "srht" and r > _next_pow2(n):
         raise ValueError(f"srht needs r <= padded dimension {_next_pow2(n)}, got r={r}")
     if kind == "identity" and r != n:
@@ -167,6 +164,8 @@ class SketchOperator:
             data = (self._signs / math.sqrt(s)).ravel()
             indices = self._cols.ravel()
             indptr = np.arange(0, n * s + 1, s)
+            import scipy.sparse as sp  # loaded by check_sketch above; this binds it
+
             self._sparse = sp.csr_array((data, indices, indptr), shape=(n, r))
         elif kind == "srht":
             n_pad = _next_pow2(n)

@@ -227,13 +227,17 @@ _BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUM
         ("import skpower", {"SKPOWER_THREADS": "1"}, None),
         ("import skpower", {"SKPOWER_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}, None),
         ("import numpy, skpower", {}, None),
-        ("import numpy, skpower", {"SKPOWER_THREADS": "1"}, "numpy was imported first"),
-        ("import skpower", {"SKPOWER_THREADS": "1", "OMP_NUM_THREADS": "2"}, "OMP_NUM_THREADS=2 is already set"),
+        ("import numpy, skpower", {"SKPOWER_THREADS": "1"}, "numpy was imported first, so BLAS keeps"),
+        # OpenBLAS reads its own variable before OMP_NUM_THREADS, so this one still caps BLAS
+        ("import skpower", {"SKPOWER_THREADS": "1", "OMP_NUM_THREADS": "2"},
+         "OMP_NUM_THREADS=2 is already set and keeps its value"),
+        ("import skpower", {"SKPOWER_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"},
+         "OPENBLAS_NUM_THREADS=2 is already set and keeps its value"),
     ],
 )
 def test_a_thread_cap_that_cannot_apply_warns_once(code, env, reason):
     # BLAS reads its thread variables when numpy loads it: SKPOWER_THREADS set after
-    # that, or under a BLAS variable that holds another value, would be ignored
+    # that is ignored, and a variable it maps to that holds another value keeps it
     src = pathlib.Path(skpower.__file__).parents[1]
     base = {key: value for key, value in os.environ.items()
             if key not in _BLAS_VARS and key != "SKPOWER_THREADS"}
