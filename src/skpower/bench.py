@@ -68,7 +68,7 @@ from itertools import islice
 
 from . import data_io, diagnostics
 from .data_io import TrialRecord
-from .diagnostics import MatrixGram, SpectralProfile, WarmStart, matrix_gram, relative_error
+from .diagnostics import MatrixGram, SpectralProfile, WarmStart, relative_error
 from .power import _METHODS, RangeFinderSpec, _checked, _iterates
 from .sketching import _check_kind, substream
 # not called here; bindings the perfbench tracer wraps
@@ -102,13 +102,15 @@ class BenchConfig:
     ``dataset`` is what :func:`skpower.data_io.load_matrix` accepts: a
     synthetic recipe such as ``polydecay:400x200:seed=7``, a ``.skpw`` path
     or a MatrixMarket path; the records' ``dataset`` column is its basename.
+    A run takes ``l`` (``r1 = l``) and ``q_max`` directly.  No key sets the
+    spec's accuracy epsilon: ``skpower run`` and ``verify`` size a sketch by
+    it and the certifier checks it, but no number in a row depends on it.
     """
 
     dataset: str = _option("", str)
     methods: list[str] = _option(["sketched-randsvd", "classical-randsvd"], _words)
     k: int = _option(40, int)
     l_values: list[int] = _option([], lambda text: [int(tok) for tok in _words(text)])
-    eps: float = _option(0.5, float)
     # None: 15 for sketched methods, 5 for classical
     q_max: int | None = _option(None, lambda text: None if text == "" else int(text))
     trials: int = _option(20, int)
@@ -216,7 +218,6 @@ def _run_series(a, profile, gram, cfg: BenchConfig, method: str, trial: int, sta
                 sketch_kind=cfg.sketch_kind,
                 s=cfg.s,
                 q_iter=state.q,
-                eps=cfg.eps,
                 seed=state.spec.seed,
                 trial=trial,
                 time_ms=1e3 * (state.elapsed["sketch"] + state.elapsed["power"]),
@@ -239,11 +240,11 @@ def replay_record(a, rec: TrialRecord):
     The matrix and the row's spec are checked as the library checks them.
     """
     a, eigenvalues = _checked(a, [rec.method])
-    params = dict(eps=rec.eps, sketch_kind=rec.sketch_kind, s=rec.s)
+    params = dict(sketch_kind=rec.sketch_kind, s=rec.s)
     _series(a, rec.method, rec.k, rec.l, rec.q_iter, rec.seed, **params).close()  # the row's own spec, checked
     states = _series(a, rec.method, rec.k, rec.l, 0, rec.seed, **params)
     profile = SpectralProfile.from_matrix(a, eigenvalues)
-    *_, (_, errors) = _series_errors(a, rec.method, states, profile, matrix_gram(a), rec.q_iter + 1)
+    *_, (_, errors) = _series_errors(a, rec.method, states, profile, diagnostics._gram(a), rec.q_iter + 1)
     states.close()
     return errors
 
@@ -259,7 +260,7 @@ def run_benchmark(cfg: BenchConfig, progress=None) -> list[TrialRecord]:
     """
     cfg.validate()
     a, eigenvalues = _checked(data_io.load_matrix(cfg.dataset), cfg.methods)
-    params = dict(eps=cfg.eps, sketch_kind=cfg.sketch_kind, s=cfg.s)
+    params = dict(sketch_kind=cfg.sketch_kind, s=cfg.s)
     tasks = [  # every series' spec is validated here, before the profile and the CSV
         (method, trial, _series(a, method, cfg.k, l, 0, substream(cfg.root_seed, mi, li, trial), **params))
         for mi, method in enumerate(cfg.methods)
@@ -268,7 +269,7 @@ def run_benchmark(cfg: BenchConfig, progress=None) -> list[TrialRecord]:
     ]
     profile = SpectralProfile.from_matrix(a, eigenvalues)  # a psd input is not decomposed again
     relative_error(0.0, profile, cfg.k)  # fail before the first series if sigma_(k+1) is missing or zero
-    gram = matrix_gram(a)  # once per run: every error point reuses it
+    gram = diagnostics._gram(a)  # once per run, of the checked a: every error point reuses it
 
     def rows(results):
         for series in results:

@@ -278,7 +278,6 @@ def build_parser() -> _Parser:
     bench.add_argument("--methods", help="comma-separated method list")
     bench.add_argument("--k", type=int)
     bench.add_argument("--l-values", dest="l_values", help="comma-separated sketch sizes")
-    bench.add_argument("--eps", type=float)
     bench.add_argument("--q-max", dest="q_max", type=_at_least(0))
     bench.add_argument("--trials", type=_dimension)
     bench.add_argument("--seed", dest="root_seed", type=int)

@@ -305,7 +305,8 @@ class TrialRecord:
     ``sketch_kind`` is the sketch family the run was given and ``s`` its
     CountSketch fill, read only by CountSketch.  ``time_ms`` is the
     cumulative wall time of the algorithm up to this iterate, so it is
-    non-decreasing in ``q_iter`` within one (method, trial) series.
+    non-decreasing in ``q_iter`` within one (method, trial) series.  No
+    column holds the accuracy epsilon: no step a row records reads it.
     """
 
     method: str
@@ -319,7 +320,6 @@ class TrialRecord:
     sketch_kind: str
     s: int
     q_iter: int
-    eps: float
     seed: int
     trial: int
     time_ms: float

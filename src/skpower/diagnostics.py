@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import _cholesky_qr2, _default_rel_tol, _deviation, _projection, as_matrix, frobenius_norm
+from .linalg import _cholesky_qr2, _default_rel_tol, _deviation, _projected, as_matrix, frobenius_norm
 from .power import choose_q
 from .sketching import SketchOperator, _rng
 
@@ -443,13 +443,6 @@ def _estimated_residuals(
         start[: len(warm.directions)] = warm.directions
     rows = lambda q: q @ g - (q @ b.T) @ b + (q @ d.T) @ d
     return _lanczos(rows, start, warm), thin.frob
-
-
-def _projected(a, q_basis) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """``(a, Q, Q.T a, max |Q.T Q - I|)``, each operand checked once (see
-    :func:`~skpower.linalg.orthonormal_projection`)."""
-    a = as_matrix(a, "a")
-    return (a, *_projection(a, as_matrix(q_basis, "q_basis")))
 
 
 def projection_residuals(a, q_basis) -> tuple[float, float]:

@@ -3,8 +3,8 @@
 Everything operates on 2-D float64 numpy arrays.  ``as_matrix`` is the single
 entry point that enforces the operand contract (two-dimensional, non-empty,
 all entries finite); public operations validate their inputs through it.
-The two structural checks live next to it: ``orthonormal_projection`` for a
-basis and ``psd_eigenvalues`` for a symmetric psd input.
+The two structural checks live next to it: ``_projected`` for a basis (and
+its projection) and ``psd_eigenvalues`` for a symmetric psd input.
 
 Decompositions go through ``numpy.linalg``, so they run on the same BLAS
 runtime as every ``@`` product.  No module of the package uses scipy's dense
@@ -83,9 +83,11 @@ def _all_finite(a: np.ndarray) -> bool:
     return bool(np.isfinite(a).all())
 
 
-def orthonormal_projection(a, q_basis) -> tuple[np.ndarray, np.ndarray]:
-    """``(Q, Q.T @ a)``, raising unless Q's columns are orthonormal within 1e-6 and it has ``a``'s rows."""
-    return _projection(as_matrix(a, "a"), as_matrix(q_basis, "q_basis"))[:2]
+def _projected(a, q_basis) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """``(a, Q, Q.T @ a, max |Q.T Q - I|)``, each operand checked once; raises unless Q's
+    columns are orthonormal within 1e-6 and it has ``a``'s rows."""
+    a = as_matrix(a, "a")
+    return (a, *_projection(a, as_matrix(q_basis, "q_basis")))
 
 
 def _deviation(q: np.ndarray) -> float:
@@ -94,7 +96,7 @@ def _deviation(q: np.ndarray) -> float:
 
 
 def _projection(a: np.ndarray, q_basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """:func:`orthonormal_projection` of checked operands, plus the :func:`_deviation` of Q its check formed."""
+    """:func:`_projected` of checked operands, without ``a``."""
     dev = _deviation(q_basis)
     if dev > 1e-6:
         raise ValueError(f"Q is not orthonormal (deviation {dev:.3e})")

@@ -50,7 +50,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import linalg
-from .linalg import as_matrix, orthonormal_projection, orthonormalize, pinv, span_basis, thin_svd, SvdResult
+from .linalg import _projected, as_matrix, orthonormalize, pinv, span_basis, thin_svd, SvdResult
 from .linalg import psd_eigenvalues as _check_psd  # a power binding, for wrappers installed on it
 from .sketching import SketchOperator, _gaussian_block, check_sketch, make_sketch, substream
 
@@ -77,10 +77,11 @@ class RangeFinderSpec:
     ``k``: target rank; ``l``: intermediate rank (k <= l) controlling the
     additive error tail; ``r1``: primary sketch size; ``r2``: block size of
     the Gaussian start (>= k, commonly 2k); ``q``: power-iteration count;
-    ``eps``: nominal accuracy in (0, 1/2].  Every power step re-bases the
-    iterate on a well-conditioned basis of its span before multiplying, so
-    every q is stable; ``stabilized`` must stay True (``validate`` rejects
-    False).
+    ``eps``: the accuracy in (0, 1/2] that ``skpower run`` sizes r1, s and q
+    for; only ``validate`` reads it here, the engine never.  Every power
+    step re-bases the iterate on a well-conditioned basis of its span before
+    multiplying, so every q is stable; ``stabilized`` must stay True
+    (``validate`` rejects False).
 
     The secondary regression sketch S2 of :func:`lowrank_factorize` has the
     family ``sketch_kind`` and size ``r1`` of this spec, also for a classical
@@ -93,7 +94,7 @@ class RangeFinderSpec:
     r1: int
     r2: int
     q: int
-    eps: float
+    eps: float = 0.5
     sketch_kind: str = "countsketch"
     seed: int = 0
     stabilized: bool = True
@@ -367,9 +368,8 @@ def range_finder_classical(a, k: int, r2: int, q: int, seed: int) -> np.ndarray:
     Equivalent to :func:`range_finder_sketched` with an identity sketch and
     the same start-block seed.
     """
-    a = as_matrix(a, "a")
-    m, n = a.shape
-    spec = RangeFinderSpec(k=k, l=min(m, n), r1=n, r2=r2, q=q, eps=0.5, seed=seed)
+    # the engine sizes the identity at r1 = n itself, and l only bounds k
+    spec = RangeFinderSpec(k=k, l=k, r1=k, r2=r2, q=q, seed=seed)
     return _advance(a, spec, "classical-randsvd")[0]["Q"]
 
 
@@ -380,7 +380,8 @@ def randsvd(a, q_basis) -> SvdResult:
     (U~, sigma, V), and returns (Q U~, sigma, V), so that
     U diag(sigma) V.T == Q Q.T a up to rounding.
     """
-    return _svd_assembly(*orthonormal_projection(a, q_basis))
+    _, q_basis, b, _ = _projected(a, q_basis)
+    return _svd_assembly(q_basis, b)
 
 
 def _svd_assembly(q_basis: np.ndarray, b: np.ndarray) -> SvdResult:

@@ -231,7 +231,6 @@ def test_criterion_8_error_vs_time_crossover():
         methods=["sketched-randsvd", "classical-randsvd"],
         k=40,
         l_values=[400],
-        eps=0.5,
         q_max=None,  # per-method defaults: 15 sketched, 5 classical
         trials=10,
         root_seed=314,

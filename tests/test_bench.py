@@ -20,7 +20,7 @@ from skpower.bench import (
     replay_record,
     run_benchmark,
 )
-from skpower.data_io import load_matrix, read_records_csv, write_binary
+from skpower.data_io import gen_polydecay, load_matrix, read_records_csv, write_binary
 from skpower.linalg import pinv, psd_eigenvalues
 from skpower.power import (
     RangeFinderSpec,
@@ -37,7 +37,6 @@ def small_config(tmp_path, **overrides):
         methods=["sketched-randsvd", "classical-randsvd"],
         k=8,
         l_values=[24],
-        eps=0.5,
         q_max=2,
         trials=2,
         root_seed=11,
@@ -526,3 +525,30 @@ def test_warm_started_rows_stay_within_the_estimator_tolerance(tmp_path, monkeyp
         assert len(records) == len(exact) == 16 + 6 + 16
         for rec, norm in zip(records, exact):
             assert norm * (1.0 - 1e-6) <= rec.spec_err <= norm * (1.0 + 1e-12), (dataset, rec)
+
+
+def test_each_matrix_is_scanned_once_per_check(tmp_path, monkeypatch):
+    # every finiteness scan of an A-shaped array: the range finders check A
+    # once and apply their primary sketch to it once; a bench run and a
+    # replay form the Gram from the A they checked, without a further scan
+    a = gen_polydecay(300, 200, seed=4)
+    scans = []
+    real = linalg_mod._all_finite
+    monkeypatch.setattr(linalg_mod, "_all_finite", lambda x: scans.append(x.shape == a.shape) or real(x))
+
+    def scanned(run):
+        scans.clear()
+        out = run()
+        return sum(scans), out
+
+    spec = RangeFinderSpec(k=5, l=20, r1=20, r2=10, q=2, seed=1)
+    assert scanned(lambda: range_finder_sketched(a, spec))[0] == 2
+    assert scanned(lambda: range_finder_classical(a, 5, 10, 2, seed=1))[0] == 2
+    path = tmp_path / "a.skpw"
+    write_binary(a, path)
+    cfg = small_config(tmp_path, dataset=str(path), k=5, l_values=[20], q_max=1, trials=2)
+    # the read, the run's check, the profile, and one sketch apply in each of the 4 series
+    count, records = scanned(lambda: run_benchmark(cfg))
+    assert count == 3 + 4
+    # the replay's check, its profile and its series' one apply
+    assert scanned(lambda: replay_record(a, records[-1]))[0] == 3

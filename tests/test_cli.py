@@ -1,9 +1,12 @@
+import argparse
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from conftest import psd_polydecay
-from skpower.cli import main
+from skpower.bench import CONFIG_KEYS
+from skpower.cli import build_parser, main
 from skpower.data_io import load_matrix, read_binary, read_records_csv, write_binary
 from skpower.diagnostics import projection_residuals
 from skpower.power import (
@@ -123,6 +126,14 @@ class TestGen:
 
 
 class TestRun:
+    def test_out_of_range_eps_is_rejected_with_explicit_sizes(self, capsys):
+        # run passes its --eps to the spec, which checks it also where no sizing rule reads it
+        code, out, err = run_cli(
+            capsys, "run", "--data", "polydecay:60x40:seed=1", "--method", "sketched-randsvd",
+            "--k", "4", "--eps", "0.7", "--r1", "16", "--r2", "8", "--q", "2",
+        )
+        assert code == 2 and out == "" and "eps must be in (0, 1/2], got 0.7" in err
+
     def test_exact_rank_input(self, tmp_path, capsys):
         path = tmp_path / "lr.skpw"
         run_cli(
@@ -348,13 +359,11 @@ class TestRun:
     @pytest.mark.parametrize("method", ["sketched-randsvd", "classical-randsvd"])
     def test_basis_run_projects_once(self, capsys, monkeypatch, method):
         # the residuals and the randomized SVD share one Q^T A and one check of Q^T Q - I
-        import skpower.diagnostics as diag_mod
         import skpower.linalg as linalg_mod
 
         projected = []
-        for module in (diag_mod, linalg_mod):
-            real = module._projection
-            monkeypatch.setattr(module, "_projection", lambda a, q, real=real: projected.append(q.shape) or real(a, q))
+        real = linalg_mod._projection
+        monkeypatch.setattr(linalg_mod, "_projection", lambda a, q: projected.append(q.shape) or real(a, q))
         code, out, _ = run_cli(
             capsys, "run", "--data", "polydecay:60x40:seed=1", "--method", method, "--k", "4", "--l", "8",
         )
@@ -565,6 +574,26 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench", "--config", str(cfg))
         assert code == 2 and "trials must be >= 1" in err
         assert not (tmp_path / "z.csv").exists()
+
+    def test_flags_are_the_config_keys(self):
+        # each bench flag sets one config key, and each key has its flag
+        sub = next(action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction))
+        dests = {action.dest for action in sub.choices["bench"]._actions} - {"help", "config", "verbose"}
+        assert dests == set(CONFIG_KEYS)
+
+    def test_eps_is_neither_a_flag_nor_a_config_key(self, tmp_path, capsys):
+        # no number a bench row records depends on eps, so bench takes none
+        out_csv = tmp_path / "eps.csv"
+        code, _, err = run_cli(
+            capsys, "bench", "--data", "polydecay:60x40:seed=1", "--k", "4", "--l-values", "8",
+            "--eps", "0.5", "--out", str(out_csv),
+        )
+        assert code == 1 and "unrecognized arguments: --eps 0.5" in err
+        cfg = tmp_path / "eps.cfg"
+        cfg.write_text(f"dataset = polydecay:60x40:seed=1\nk = 4\nl_values = 8\neps = 0.5\noutput = {out_csv}\n")
+        code, _, err = run_cli(capsys, "bench", "--config", str(cfg))
+        assert code == 2 and f"{cfg}:4: bad config line 'eps = 0.5'" in err
+        assert not out_csv.exists()
 
     def test_missing_dataset_is_error(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--k", "4")

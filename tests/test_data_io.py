@@ -209,7 +209,6 @@ def _random_record(rng, trial, q_iter, time_ms):
         sketch_kind="countsketch",
         s=1,
         q_iter=q_iter,
-        eps=0.5,
         seed=int(rng.integers(0, 2**63)),
         trial=trial,
         time_ms=time_ms,
@@ -224,18 +223,29 @@ class TestRecordsCsv:
         path = tmp_path / "empty.csv"
         write_records_csv([], path)
         assert path.read_text().strip() == (
-            "method,dataset,m,n,k,l,r1,r2,sketch_kind,s,q_iter,eps,seed,trial,time_ms,"
+            "method,dataset,m,n,k,l,r1,r2,sketch_kind,s,q_iter,seed,trial,time_ms,"
             "spec_err,frob_err,rel_err"
         )
         assert read_records_csv(path) == []
 
     def test_header_without_the_sketch_kind_names_it(self, tmp_path):
-        # the 17-column header of rows that did not record their sketch kind
+        # the header of rows that did not record their sketch kind
         path = tmp_path / "old.csv"
         path.write_text(
-            "method,dataset,m,n,k,l,r1,r2,s,q_iter,eps,seed,trial,time_ms,spec_err,frob_err,rel_err\n"
+            "method,dataset,m,n,k,l,r1,r2,s,q_iter,seed,trial,time_ms,spec_err,frob_err,rel_err\n"
         )
         with pytest.raises(ValueError, match=r"missing \['sketch_kind'\], unexpected \[\]"):
+            read_records_csv(path)
+
+    def test_header_with_the_eps_column_names_it(self, tmp_path):
+        # rows that recorded the accuracy eps, which no number in them depends on
+        path = tmp_path / "eps.csv"
+        path.write_text(
+            "method,dataset,m,n,k,l,r1,r2,sketch_kind,s,q_iter,eps,seed,trial,time_ms,spec_err,frob_err,rel_err\n"
+            "sketched-randsvd,polydecay:60x40:seed=1,60,40,4,8,8,4,countsketch,1,0,0.5,15793235383387715774,0,"
+            "0.6288869990385137,18.852647072236053,34.633367280740266,0.5710539226863363\n"
+        )
+        with pytest.raises(ValueError, match=r"missing \[\], unexpected \['eps'\]"):
             read_records_csv(path)
 
     def test_header_with_an_extra_column_names_it(self, tmp_path):
